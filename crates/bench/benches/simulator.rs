@@ -27,7 +27,7 @@ fn main() {
         Machine::new(&program, &cfg).run(None)
     });
 
-    let f = FaultSpec::new(golden.dyn_instrs / 2, 7, 13);
+    let f = FaultSpec::new(golden.dyn_instrs / 2, 7, 13).into();
     report("machine", "fault_run", || {
         Machine::new(&program, &MachineConfig::default()).run(Some(f))
     });

@@ -18,7 +18,7 @@ use sor_sim::{FaultSpec, MachineConfig, Runner, TimingConfig};
 use sor_workloads::{AdpcmDec, Mpeg2Enc, Parser, Workload};
 
 fn main() {
-    let runs = sor_bench::runs_arg(150);
+    let runs = sor_bench::num_arg("--runs", 150);
     let suite: Vec<Box<dyn Workload>> = vec![
         Box::new(AdpcmDec::default()),
         Box::new(Mpeg2Enc::default()),
@@ -103,7 +103,7 @@ fn main() {
             let len = runner.golden().dyn_instrs;
             let mut counts = OutcomeCounts::default();
             let mut state = 0xD15Eu64;
-            let regs: Vec<u8> = FaultSpec::injectable_regs().collect();
+            let regs = &sor_sim::INJECTABLE_REGS;
             for _ in 0..runs {
                 state ^= state << 13;
                 state ^= state >> 7;

@@ -58,20 +58,10 @@ fn brute_force(runner: &Runner, threads: usize) -> OutcomeCounts {
 }
 
 fn main() {
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let threads: usize = sor_bench::arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
+    let samples: u64 = sor_bench::num_arg("--samples", 4);
+    let threads: usize = sor_bench::num_arg("--threads", sor_harness::resolve_threads(0));
 
-    let lanes: usize = sor_bench::arg_value("--lanes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let lanes: usize = sor_bench::num_arg("--lanes", 1);
 
     let workload = AdpcmDec { samples, seed: 1 };
     let technique = Technique::SwiftR;

@@ -14,10 +14,8 @@ use sor_harness::{CampaignConfig, FigureEight};
 use sor_workloads::all_workloads;
 
 fn main() {
-    let runs = sor_bench::runs_arg(250);
-    let seed = sor_bench::arg_value("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0x5EED);
+    let runs = sor_bench::num_arg("--runs", 250);
+    let seed = sor_bench::num_arg("--seed", 0x5EED);
     let model = sor_bench::fault_model_arg();
     let engine = sor_bench::engine_arg();
     let want_json = std::env::args().any(|a| a == "--json");

@@ -13,10 +13,8 @@ use sor_harness::{headline, ArtifactStore, CampaignConfig, FigureEight, FigureNi
 use sor_workloads::all_workloads;
 
 fn main() {
-    let runs = sor_bench::runs_arg(250);
-    let seed = sor_bench::arg_value("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0x5EED);
+    let runs = sor_bench::num_arg("--runs", 250);
+    let seed = sor_bench::num_arg("--seed", 0x5EED);
     let want_json = std::env::args().any(|a| a == "--json");
     let suite = all_workloads();
     let cfg = CampaignConfig {

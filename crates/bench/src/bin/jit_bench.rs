@@ -21,13 +21,9 @@ use sor_workloads::{AdpcmDec, Workload};
 use std::time::Instant;
 
 fn main() {
-    let runs = sor_bench::runs_arg(2000);
-    let threads: usize = sor_bench::arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
+    let runs = sor_bench::num_arg("--runs", 2000);
+    let threads: usize = sor_bench::num_arg("--threads", 0);
+    let samples: u64 = sor_bench::num_arg("--samples", 400);
 
     let workload = AdpcmDec { samples, seed: 1 };
     let technique = Technique::SwiftR;

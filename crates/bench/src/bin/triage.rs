@@ -26,19 +26,11 @@ use sor_regalloc::LowerConfig;
 use sor_workloads::{AdpcmDec, Workload};
 
 fn main() {
-    let runs = sor_bench::runs_arg(400);
-    let threads: usize = sor_bench::arg_value("--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let samples: u64 = sor_bench::arg_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let top: usize = sor_bench::arg_value("--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let sections: usize = sor_bench::arg_value("--sections")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
+    let runs = sor_bench::num_arg("--runs", 400);
+    let threads: usize = sor_bench::num_arg("--threads", 0);
+    let samples: u64 = sor_bench::num_arg("--samples", 200);
+    let top: usize = sor_bench::num_arg("--top", 10);
+    let sections: usize = sor_bench::num_arg("--sections", 8);
     let model = sor_bench::fault_model_arg();
     let results = if sor_bench::flag("--no-store") || !model.is_default() {
         if !model.is_default() {

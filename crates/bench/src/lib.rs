@@ -151,11 +151,32 @@ pub fn engine_arg() -> sor_harness::ExecEngine {
     }
 }
 
-/// Parses `--runs N` with a default.
-pub fn runs_arg(default: u64) -> u64 {
-    arg_value("--runs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parses a numeric `--flag N` with a default, exiting with the flag and
+/// the offending value when the value does not parse (`--runs 2k` must
+/// not silently run the default). Every bin spells its numeric flags
+/// through this one helper.
+pub fn num_arg<T>(name: &str, default: T) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    parse_num(name, arg_value(name).as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// [`num_arg`]'s parser: `default` when the flag is absent, the parsed
+/// value otherwise, or an error naming the flag and the value.
+fn parse_num<T>(name: &str, value: Option<&str>, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match value {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|e| format!("invalid {name} {v:?}: {e}")),
+    }
 }
 
 /// Writes a results file under `results/`, creating the directory.
@@ -221,8 +242,18 @@ pub fn report<T>(group: &str, name: &str, f: impl FnMut() -> T) -> f64 {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn runs_arg_defaults() {
-        assert_eq!(super::runs_arg(123), 123);
+    fn num_arg_defaults_when_the_flag_is_absent() {
+        assert_eq!(super::num_arg("--no-such-flag", 123u64), 123);
+        assert_eq!(super::parse_num::<u64>("--runs", None, 7), Ok(7));
+    }
+
+    #[test]
+    fn parse_num_parses_or_names_the_flag_and_value() {
+        assert_eq!(super::parse_num::<u64>("--runs", Some("2000"), 7), Ok(2000));
+        let err = super::parse_num::<u64>("--runs", Some("2k"), 7).unwrap_err();
+        assert!(err.contains("--runs") && err.contains("\"2k\""), "{err}");
+        let err = super::parse_num::<usize>("--threads", Some("-1"), 0).unwrap_err();
+        assert!(err.starts_with("invalid --threads \"-1\""), "{err}");
     }
 
     #[test]

@@ -311,7 +311,7 @@ mod tests {
             let mut bad = 0;
             let mut total = 0;
             for at in 0..len {
-                for reg in sor_sim::FaultSpec::injectable_regs().take(6) {
+                for &reg in &sor_sim::INJECTABLE_REGS[..6] {
                     let (o, _) = runner.run_fault(FaultSpec::new(at, reg, 47));
                     total += 1;
                     if o != Outcome::UnAce {

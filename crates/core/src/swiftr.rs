@@ -119,7 +119,7 @@ mod tests {
         // Sweep until some injection triggers an actual repair probe.
         let mut hit = false;
         'outer: for at in 0..len.min(400) {
-            for reg in sor_sim::FaultSpec::injectable_regs().take(8) {
+            for &reg in &sor_sim::INJECTABLE_REGS[..8] {
                 let (_, res) = runner.run_fault(FaultSpec::new(at, reg, 3));
                 if res.probes.vote_repairs > 0 {
                     hit = true;

@@ -17,7 +17,7 @@ use crate::pool;
 use crate::store::ResultStore;
 use sor_ace::{
     CertPlan, CertSections, CertifiedCoverage, ClassOutcome, DefUseTrace, GenCertPlan,
-    ModelPlanError, SectionOutcomes,
+    ModelPlanError, SectionOutcomes, SlotRange,
 };
 use sor_core::Technique;
 use sor_ir::Program;
@@ -38,9 +38,11 @@ pub struct CertifyConfig {
     pub checkpoint_interval: u64,
     /// SPMD lane width for batched injection (see
     /// [`sor_sim::LaneReplayer`]): each read-window equivalence class is
-    /// 64 same-slot faults, which lane groups of width 2/4/8 tile
+    /// 64 same-slot faults, which lane groups of width 2/4/8/16 tile
     /// exactly. `1` (the default) runs scalar; results are bit-identical
-    /// either way.
+    /// either way. Lane packs run the decoded lane interpreter, also
+    /// under [`ExecEngine::Jit`]; the legacy engine and non-default fault
+    /// models run scalar whatever the width.
     pub lanes: usize,
     /// Transform configuration.
     pub transform: sor_core::TransformConfig,
@@ -185,10 +187,11 @@ pub fn certify_program_with(
     // thread count or lane width — windows ending late in the run replay
     // long suffixes, so classes, like sampled faults, have wildly
     // variable costs and still want stealing.
-    let faults: Vec<FaultSpec> = plan
+    let faults: Vec<GenFault> = plan
         .classes
         .iter()
-        .flat_map(|range| (0..64).map(|bit| FaultSpec::new(range.hi, range.reg, bit)))
+        .copied()
+        .flat_map(class_faults)
         .collect();
     let mut class_results: Vec<OutcomeCounts> = pool::inject_faults(
         &runner,
@@ -219,6 +222,12 @@ pub fn certify_program_with(
     )
 }
 
+/// The 64 single-bit register SEUs of one read-window class, injected at
+/// its representative slot — the flattened fault list certification runs.
+fn class_faults(class: SlotRange) -> impl Iterator<Item = GenFault> {
+    (0..64).map(move |bit| FaultSpec::new(class.hi, class.reg, bit).into())
+}
+
 /// Certifies one lowered program's full fault space under a non-default
 /// [`FaultModel`], exactly: records the def-use trace, builds the
 /// model-specific [`GenCertPlan`] (per-model unACE arguments — see
@@ -227,9 +236,10 @@ pub fn certify_program_with(
 /// report. `Err(ModelPlanError::NotCertifiable)` for models with no sound
 /// pruning argument ([`FaultModel::MemBit`]).
 ///
-/// The default model is accepted too (its plan reproduces the legacy
-/// [`CertPlan`] exactly), but [`certify_program_with`] is the pinned
-/// legacy path campaigns should take for it.
+/// The default model is accepted too (its plan reproduces the SEU
+/// [`CertPlan`] exactly), but [`certify_program_with`] — which also
+/// batches lanes and backs the sectional store — is the path campaigns
+/// take for it.
 #[allow(clippy::too_many_arguments)]
 pub fn certify_program_model(
     program: &Program,
@@ -257,10 +267,11 @@ pub fn certify_program_model(
         faults.extend(class.faults());
         class_of.extend(std::iter::repeat_n(ci, class.effects.len()));
     }
-    let mut class_results: Vec<OutcomeCounts> = pool::inject_gen_faults(
+    let mut class_results: Vec<OutcomeCounts> = pool::inject_faults(
         &runner,
         &faults,
         threads,
+        1,
         |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
             let class = class_of[i];
             if acc.len() <= class {
@@ -503,11 +514,10 @@ pub fn certify_resumable(
             return CertifyStatus::Paused(progress);
         }
         let sec = &sections.sections[si];
-        let faults: Vec<FaultSpec> = sec
+        let faults: Vec<GenFault> = sec
             .classes
             .iter()
-            .map(|&idx| plan.classes[idx])
-            .flat_map(|range| (0..64).map(move |bit| FaultSpec::new(range.hi, range.reg, bit)))
+            .flat_map(|&idx| class_faults(plan.classes[idx]))
             .collect();
         progress.fresh_injections += faults.len() as u64;
         let mut fresh: Vec<OutcomeCounts> = pool::inject_faults(
@@ -637,7 +647,7 @@ mod tests {
         for at in 0..golden_len {
             for &reg in &INJECTABLE_REGS {
                 for bit in 0..64 {
-                    let (rec, res) = replayer.run_fault_record(FaultSpec::new(at, reg, bit));
+                    let (rec, res) = replayer.run_fault_record(FaultSpec::new(at, reg, bit).into());
                     let recov = res.probes.vote_repairs + res.probes.trump_recovers;
                     counts.record(rec.outcome, recov);
                     let pc = rec.static_inst.expect("in-range faults always fire");

@@ -10,7 +10,8 @@
 //! per-record fold.
 //!
 //! It is also where lane batching composes with work-stealing. With
-//! `lanes > 1` the fault list is stably sorted by injection slot and cut
+//! `lanes > 1` and a fault list of register SEUs (the only effect the
+//! lane engine runs), the list is stably sorted by injection slot and cut
 //! into lane-width groups — a *group* becomes the work-stealing unit, and
 //! each worker drives a [`sor_sim::LaneReplayer`] instead of a scalar
 //! [`sor_sim::Replayer`]. Sorting maximizes the shared lockstep prefix
@@ -24,8 +25,7 @@
 
 use sor_ir::Program;
 use sor_sim::{
-    DecodedProg, ExecEngine, FaultRecord, FaultSpec, GenFault, GenFaultRecord, MachineConfig,
-    RunResult, Runner,
+    DecodedProg, ExecEngine, FaultRecord, FaultSpec, GenFault, MachineConfig, RunResult, Runner,
 };
 use sor_stats::OutcomeCounts;
 use sor_triage::VulnerabilityProfile;
@@ -116,10 +116,13 @@ impl Accumulate for Vec<OutcomeCounts> {
 ///
 /// `fold` is called once per fault with the fault's index in `faults`
 /// (original order — lane batching reorders execution, not attribution),
-/// its [`FaultRecord`] and the raw [`RunResult`].
+/// its [`FaultRecord`] and the raw [`RunResult`]. Lane groups form only
+/// when every fault is a register SEU ([`GenFault::as_spec`]): the SPMD
+/// lane engine runs no other effect, so any other list runs scalar
+/// whatever `lanes` asks for (results are bit-identical either way).
 pub(crate) fn inject_faults<A, F>(
     runner: &Runner<'_>,
-    faults: &[FaultSpec],
+    faults: &[GenFault],
     threads: usize,
     lanes: usize,
     fold: F,
@@ -130,21 +133,26 @@ where
 {
     let threads = resolve_threads(threads);
     let lanes = resolve_lanes(runner, lanes);
+    let specs: Option<Vec<FaultSpec>> = if lanes > 1 {
+        faults.iter().map(GenFault::as_spec).collect()
+    } else {
+        None
+    };
     let fold = &fold;
     let mut total = A::default();
 
-    if lanes > 1 {
+    if let Some(specs) = specs {
         // Sort (stably) by injection slot so each lane group shares the
         // longest possible pre-fault lockstep prefix, then steal whole
         // groups: one group = one lockstep pack run.
-        let mut order: Vec<usize> = (0..faults.len()).collect();
-        order.sort_by_key(|&i| faults[i].at_instr);
+        let mut order: Vec<usize> = (0..specs.len()).collect();
+        order.sort_by_key(|&i| specs[i].at_instr);
         let groups: Vec<&[usize]> = order.chunks(lanes).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for _ in 0..threads.max(1).min(groups.len().max(1)) {
-                let (groups, next) = (&groups, &next);
+                let (groups, next, specs) = (&groups, &next, &specs);
                 handles.push(scope.spawn(move || {
                     // One lane pack (plus its eviction machines) per
                     // worker, reused across every stolen group.
@@ -155,7 +163,7 @@ where
                         let g = next.fetch_add(1, Ordering::Relaxed);
                         let Some(idxs) = groups.get(g) else { break };
                         group.clear();
-                        group.extend(idxs.iter().map(|&i| faults[i]));
+                        group.extend(idxs.iter().map(|&i| specs[i]));
                         let results = replayer.run_fault_group_records(&group);
                         for (k, (rec, res)) in results.iter().enumerate() {
                             fold(&mut acc, idxs[k], rec, res);
@@ -193,51 +201,5 @@ where
             }
         });
     }
-    total
-}
-
-/// [`inject_faults`] over the generalized fault surface: runs every
-/// [`GenFault`] across the same work-stealing worker pool and folds the
-/// provenance-annotated [`GenFaultRecord`]s.
-///
-/// Always executes scalar — the SPMD lane engine only vectorizes the
-/// single-register-bit SEU effect, so non-default fault models take the
-/// scalar fallback regardless of the configured lane width (results are
-/// bit-identical to what a lane path would produce by contract, so the
-/// fallback is an execution-strategy choice, not a semantic one).
-pub(crate) fn inject_gen_faults<A, F>(
-    runner: &Runner<'_>,
-    faults: &[GenFault],
-    threads: usize,
-    fold: F,
-) -> A
-where
-    A: Accumulate,
-    F: Fn(&mut A, usize, &GenFaultRecord, &RunResult) + Sync,
-{
-    let threads = resolve_threads(threads);
-    let fold = &fold;
-    let mut total = A::default();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads.max(1).min(faults.len().max(1)) {
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                let mut replayer = runner.replayer();
-                let mut acc = A::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&fault) = faults.get(i) else { break };
-                    let (rec, res) = replayer.run_fault_record_gen(fault);
-                    fold(&mut acc, i, &rec, &res);
-                }
-                acc
-            }));
-        }
-        for h in handles {
-            total.absorb(h.join().expect("injection worker panicked"));
-        }
-    });
     total
 }

@@ -43,7 +43,7 @@
 
 use sor_ace::{ClassOutcome, SectionKey, SectionOutcomes};
 use sor_ir::{ContentHash, Fnv1a, ProtectionRole};
-use sor_sim::FaultSpec;
+use sor_sim::GenFault;
 use sor_stats::OutcomeCounts;
 use sor_triage::{SiteStats, VulnerabilityProfile};
 use std::collections::HashMap;
@@ -74,18 +74,28 @@ const MAX_PAYLOAD: u32 = 1 << 28;
 /// keys are (each sampled fault's outcome is a pure function of
 /// `(program, fault)`); the fault list stands in for the def-use slice
 /// because sampled sections re-execute listed faults rather than class
-/// representatives derived from a trace.
+/// representatives derived from a trace. Each fault hashes as its
+/// `(slot, register, bit)` triple.
+///
+/// # Panics
+///
+/// Panics on a fault that is not a register SEU ([`GenFault::as_spec`]):
+/// the triage store is SEU-sectional only, and other fault models bypass
+/// it.
 pub fn triage_section_key(
     program: ContentHash,
     start: u64,
     end: u64,
-    faults: &[FaultSpec],
+    faults: &[GenFault],
 ) -> SectionKey {
     let mut h = Fnv1a::new();
     h.u64(start);
     h.u64(end);
     h.usize(faults.len());
     for f in faults {
+        let f = f
+            .as_spec()
+            .expect("triage section keys cover register SEUs only");
         h.u64(f.at_instr);
         h.bytes(&[f.reg, f.bit]);
     }
@@ -622,11 +632,11 @@ mod tests {
     }
 
     fn profile() -> VulnerabilityProfile {
-        use sor_sim::{FaultRecord, Outcome};
+        use sor_sim::{FaultRecord, FaultSpec, Outcome};
         let mut p = VulnerabilityProfile::new();
         p.record(
             &FaultRecord {
-                spec: FaultSpec::new(3, 2, 5),
+                fault: FaultSpec::new(3, 2, 5).into(),
                 outcome: Outcome::Sdc,
                 static_inst: Some(17),
                 role: ProtectionRole::Voter,
@@ -635,7 +645,7 @@ mod tests {
         );
         p.record(
             &FaultRecord {
-                spec: FaultSpec::new(9, 4, 1),
+                fault: FaultSpec::new(9, 4, 1).into(),
                 outcome: Outcome::UnAce,
                 static_inst: None,
                 role: ProtectionRole::Original,
@@ -808,14 +818,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A triage key hashes each SEU as its `(slot, register, bit)` bytes,
+    /// exactly as keys did when sections held `FaultSpec` lists, so
+    /// stores written then keep hitting.
+    #[test]
+    fn triage_section_key_hashes_seus_as_slot_reg_bit_bytes() {
+        let specs = [
+            sor_sim::FaultSpec::new(1, 2, 3),
+            sor_sim::FaultSpec::new(4, 5, 6),
+        ];
+        let mut h = Fnv1a::new();
+        h.u64(0);
+        h.u64(10);
+        h.usize(specs.len());
+        for f in specs {
+            h.u64(f.at_instr);
+            h.bytes(&[f.reg, f.bit]);
+        }
+        let faults = specs.map(GenFault::from);
+        let key = triage_section_key(ContentHash(42), 0, 10, &faults);
+        assert_eq!(key.slice, ContentHash(h.finish64()));
+    }
+
     #[test]
     fn triage_section_key_tracks_fault_list_content() {
         let p = ContentHash(42);
-        let faults = [FaultSpec::new(1, 2, 3), FaultSpec::new(4, 5, 6)];
+        let faults: [GenFault; 2] = [
+            sor_sim::FaultSpec::new(1, 2, 3).into(),
+            sor_sim::FaultSpec::new(4, 5, 6).into(),
+        ];
         let a = triage_section_key(p, 0, 10, &faults);
         assert_eq!(a, triage_section_key(p, 0, 10, &faults));
         let mut other = faults;
-        other[1] = FaultSpec::new(4, 5, 7);
+        other[1] = sor_sim::FaultSpec::new(4, 5, 7).into();
         assert_ne!(a, triage_section_key(p, 0, 10, &other));
         assert_ne!(a, triage_section_key(p, 0, 11, &faults));
         assert_ne!(a, triage_section_key(ContentHash(43), 0, 10, &faults));

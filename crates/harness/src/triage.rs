@@ -9,7 +9,7 @@
 //! outcome counts of the profile are identical to the plain campaign's.
 
 use crate::artifact::ArtifactStore;
-use crate::campaign::{draw_faults, draw_gen_faults, CampaignConfig, CampaignResult};
+use crate::campaign::{draw_faults, CampaignConfig, CampaignResult};
 use crate::ctrl::RunCtrl;
 use crate::pool;
 use crate::store::{triage_section_key, ResultStore};
@@ -148,8 +148,8 @@ pub fn run_triaged_campaign_resumable(
     let artifact = artifacts.get(workload, technique, &cfg.transform, &LowerConfig::default());
     if !cfg.fault_model.is_default() {
         // Non-default models triage monolithically and bypass the store:
-        // `triage_section_key` digests legacy `FaultSpec` lists, which
-        // cannot represent generalized effects — a silent alias would be
+        // `triage_section_key` digests (slot, register, bit) triples,
+        // which cannot represent other effects — a silent alias would be
         // worse than a recompute. One all-or-nothing "section".
         let (profile, golden_instrs) = inject_profiled(
             &artifact.program,
@@ -183,7 +183,13 @@ pub fn run_triaged_campaign_resumable(
         cfg.engine,
     );
     let golden_instrs = runner.golden().dyn_instrs;
-    let faults = draw_faults(cfg, workload.name(), technique, golden_instrs);
+    let faults = draw_faults(
+        cfg,
+        workload.name(),
+        technique,
+        &artifact.program,
+        golden_instrs,
+    );
     let triage = SectionalTriage::partition(&faults, nsections);
     let program_digest = artifact.program.content_digest();
 
@@ -241,22 +247,7 @@ fn inject_profiled(
 ) -> (VulnerabilityProfile, u64) {
     let runner = pool::build_runner(program, decoded, jit, cfg.checkpoint_interval, cfg.engine);
     let golden_len = runner.golden().dyn_instrs;
-    if !cfg.fault_model.is_default() {
-        // Generalized models: model-specific draws, scalar generalized
-        // injection, register attribution only where an effect has a
-        // victim register (see `VulnerabilityProfile::record_gen`).
-        let faults = draw_gen_faults(cfg, wl_name, technique, program, golden_len);
-        let whole: VulnerabilityProfile = pool::inject_gen_faults(
-            &runner,
-            &faults,
-            cfg.threads,
-            |acc: &mut VulnerabilityProfile, _, rec, res| {
-                acc.record_gen(rec, res.probes.vote_repairs + res.probes.trump_recovers);
-            },
-        );
-        return (whole, golden_len);
-    }
-    let faults = draw_faults(cfg, wl_name, technique, golden_len);
+    let faults = draw_faults(cfg, wl_name, technique, program, golden_len);
     // Same shared worker pool as the plain campaign; profile merge is
     // commutative and associative, so the merged profile is independent of
     // thread count, lane width and interleaving.
@@ -384,7 +375,13 @@ mod tests {
                     &LowerConfig::default(),
                 );
                 let runner = Runner::new(&artifact.program, &MachineConfig::default());
-                let faults = draw_faults(&cfg, w.name(), technique, runner.golden().dyn_instrs);
+                let faults = draw_faults(
+                    &cfg,
+                    w.name(),
+                    technique,
+                    &artifact.program,
+                    runner.golden().dyn_instrs,
+                );
 
                 let monolithic = SectionalTriage::run(&runner, &faults, 1).compose();
                 let mut sectional = SectionalTriage::run(&runner, &faults, 4);

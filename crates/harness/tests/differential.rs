@@ -169,9 +169,9 @@ fn decoded_engine_matches_legacy_bit_for_bit() {
             let mut j_replayer = jit.replayer();
             let mut scalar_records = Vec::new();
             for &f in &faults {
-                let (d_rec, d_res) = d_replayer.run_fault_record(f);
-                let (l_rec, l_res) = l_replayer.run_fault_record(f);
-                let (j_rec, j_res) = j_replayer.run_fault_record(f);
+                let (d_rec, d_res) = d_replayer.run_fault_record(f.into());
+                let (l_rec, l_res) = l_replayer.run_fault_record(f.into());
+                let (j_rec, j_res) = j_replayer.run_fault_record(f.into());
                 assert_eq!(d_rec, l_rec, "{label}: {f} record diverged");
                 assert_eq!(d_res, l_res, "{label}: {f} result diverged");
                 assert_eq!(j_rec, l_rec, "{label}: {f} jit record diverged");
@@ -356,9 +356,9 @@ fn generalized_fault_models_match_across_engines_and_lanes() {
             let mut j_replayer = jit.replayer();
             for _ in 0..12 {
                 let fault = model.sample(&mut rng, &ctx);
-                let (d_rec, d_res) = d_replayer.run_fault_record_gen(fault);
-                let (l_rec, l_res) = l_replayer.run_fault_record_gen(fault);
-                let (j_rec, j_res) = j_replayer.run_fault_record_gen(fault);
+                let (d_rec, d_res) = d_replayer.run_fault_record(fault);
+                let (l_rec, l_res) = l_replayer.run_fault_record(fault);
+                let (j_rec, j_res) = j_replayer.run_fault_record(fault);
                 assert_eq!(d_rec, l_rec, "{label}: record diverged across engines");
                 assert_eq!(d_res, l_res, "{label}: result diverged across engines");
                 assert_eq!(j_rec, l_rec, "{label}: jit record diverged across engines");

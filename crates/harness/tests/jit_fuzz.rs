@@ -8,20 +8,24 @@
 //! zero/sign-extending loads and stores at every [`MemWidth`], float
 //! arithmetic including division, int↔float conversions, counted loops
 //! and data-dependent diamonds — then pins golden runs and seeded fault
-//! batteries (in-run and past-end slots) bit-for-bit across all three
-//! engines. The point is to exercise superblock shapes no curated
+//! batteries (in-run and past-end slots, drawn from every fault model's
+//! sampler) bit-for-bit across all three engines. The point is to exercise superblock shapes no curated
 //! workload contains: the JIT's side-exit stubs (div/rem, `CvtFI`) abut
 //! random neighbours, spans begin and end at arbitrary ops, and the
 //! span-edge contract has to hold for all of them.
 
 use sor_core::{Pipeline, Technique, TransformConfig};
+use sor_harness::{FaultModel, SampleCtx};
 use sor_ir::{
     AluOp, CmpOp, FpOp, FunctionBuilder, MemWidth, Module, ModuleBuilder, Operand, Vreg, Width,
 };
 use sor_regalloc::{lower, LowerConfig};
 use sor_rng::SmallRng;
-use sor_sim::{DecodedProg, ExecEngine, FaultSpec, MachineConfig, Runner};
+use sor_sim::{DecodedProg, ExecEngine, FaultSpec, GenFault, MachineConfig, Runner};
 use std::sync::Arc;
+
+/// Seeded draws per fault model added to every cell's battery.
+const MODEL_DRAWS: usize = 12;
 
 const ALU_OPS: [AluOp; 13] = [
     AluOp::Add,
@@ -256,7 +260,8 @@ fn random_module(seed: u64, body_ops: usize) -> Module {
 
 /// One fuzz cell: build the random module, run it through `technique`'s
 /// pipeline, lower, then pin the golden run and a seeded fault battery
-/// (in-run, boundary and past-end slots) across legacy, decoded and jit.
+/// (in-run, boundary and past-end slots; register SEUs plus draws from
+/// every [`FaultModel`]) across legacy, decoded and jit.
 fn fuzz_jit_cell(seed: u64, technique: Technique, interval: u64) {
     let module = random_module(seed, 48);
     let out = Pipeline::for_technique(technique)
@@ -290,16 +295,23 @@ fn fuzz_jit_cell(seed: u64, technique: Technique, interval: u64) {
 
     let mut rng = SmallRng::seed_from_u64(seed ^ golden_len);
     let (mut l, mut d, mut j) = (legacy.replayer(), dec.replayer(), jit.replayer());
-    let mut battery: Vec<FaultSpec> = (0..30)
+    let mut battery: Vec<GenFault> = (0..30)
         // Head room past golden_len draws never-fired faults too: they
         // must classify unACE on all three engines.
-        .map(|_| FaultSpec::sample(&mut rng, golden_len + 8))
+        .map(|_| FaultSpec::sample(&mut rng, golden_len + 8).into())
         .collect();
     // Deterministic boundary slots: the very first and very last
     // fault-eligible instructions, and one just past the end.
-    battery.push(FaultSpec::new(0, 3, 62));
-    battery.push(FaultSpec::new(golden_len - 1, 4, 1));
-    battery.push(FaultSpec::new(golden_len, 5, 0));
+    battery.push(FaultSpec::new(0, 3, 62).into());
+    battery.push(FaultSpec::new(golden_len - 1, 4, 1).into());
+    battery.push(FaultSpec::new(golden_len, 5, 0).into());
+    // Every fault model's sampler, with the same past-end head room: PC
+    // corruption lands the jit mid-span, memory flips hit live data, ALU
+    // transients single-step one native op, bursts flip adjacent bits.
+    let ctx = SampleCtx::for_program(&program, golden_len + 8);
+    for model in FaultModel::ALL {
+        battery.extend((0..MODEL_DRAWS).map(|_| model.sample(&mut rng, &ctx)));
+    }
 
     for fault in &battery {
         let (l_rec, l_res) = l.run_fault_record(*fault);

@@ -76,7 +76,7 @@ fn fuzz_cell(w: &dyn Workload, technique: Technique, interval: u64, seed: u64) {
             let got = lane_replayer.run_fault_group_records(group);
             assert_eq!(got.len(), group.len(), "{label}");
             for (k, lane_out) in got.iter().enumerate() {
-                let scalar_out = scalar.run_fault_record(group[k]);
+                let scalar_out = scalar.run_fault_record(group[k].into());
                 assert_eq!(
                     *lane_out, scalar_out,
                     "{label}: {} diverged at {lanes} lanes (group {group:?})",
@@ -128,8 +128,8 @@ fn fuzz_models_cell(w: &dyn Workload, technique: Technique, seed: u64) {
             if i % 3 == 2 {
                 fault = GenFault::new(golden_len + 1 + i, fault.effect);
             }
-            let (d_rec, d_res) = d_replayer.run_fault_record_gen(fault);
-            let (l_rec, l_res) = l_replayer.run_fault_record_gen(fault);
+            let (d_rec, d_res) = d_replayer.run_fault_record(fault);
+            let (l_rec, l_res) = l_replayer.run_fault_record(fault);
             assert_eq!(d_rec, l_rec, "{label}: record diverged across engines");
             assert_eq!(d_res, l_res, "{label}: result diverged across engines");
         }

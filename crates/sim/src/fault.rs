@@ -1,4 +1,5 @@
-//! The single-event-upset fault specification.
+//! The fault surface: [`GenFault`], the one fault type every injection
+//! path takes, and [`FaultSpec`], the paper's register SEU as a value.
 
 use sor_ir::{NUM_IREGS, SP};
 use sor_rng::SmallRng;
@@ -31,11 +32,6 @@ impl FaultSpec {
         assert_ne!(reg, SP.index(), "the stack pointer is never injected");
         assert!(bit < 64, "bit {bit} out of range");
         FaultSpec { at_instr, reg, bit }
-    }
-
-    /// Registers eligible for injection (everything but the SP).
-    pub fn injectable_regs() -> impl Iterator<Item = u8> {
-        INJECTABLE_REGS.iter().copied()
     }
 
     /// Draws the paper's §7.1 fault distribution: uniform over the golden
@@ -89,12 +85,11 @@ impl fmt::Display for FaultSpec {
 }
 
 /// The architectural effect of one transient fault, generalizing the
-/// register-SEU of [`FaultSpec`] to the fault models of `sor-models`.
+/// register SEU of [`FaultSpec`] to the fault models of `sor-models`.
 ///
-/// Every effect is applied exactly once, at one dynamic instruction slot,
-/// and is defined so that `RegXor { reg, mask: 1 << bit }` is *bit-identical*
-/// to the legacy [`FaultSpec`] injection path — same injection point, same
-/// architectural state transition, same `fault_pc` attribution.
+/// Every effect is applied exactly once, at one dynamic instruction slot.
+/// `RegXor { reg, mask: 1 << bit }` *is* the paper's SEU: a [`FaultSpec`]
+/// injects by converting to exactly that effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultEffect {
     /// XOR `mask` into integer register `reg` immediately before the slot
@@ -157,9 +152,10 @@ impl FaultEffect {
     }
 }
 
-/// One transient fault under a generalized model: apply `effect` at
-/// dynamic instruction `at_instr`. `GenFault::from_spec` embeds the legacy
-/// SEU model exactly.
+/// One transient fault: apply `effect` at dynamic instruction `at_instr`.
+/// The only fault type the machines, replayers, worker pool and profiles
+/// take; a [`FaultSpec`] enters through [`GenFault::from_spec`] (or
+/// `From`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GenFault {
     /// Dynamic instruction index (0-based) at which the effect applies.
@@ -190,7 +186,7 @@ impl GenFault {
         GenFault { at_instr, effect }
     }
 
-    /// The generalized form of a legacy SEU spec (bit-identical injection).
+    /// The register SEU `spec` as a fault: `RegXor { mask: 1 << bit }`.
     pub fn from_spec(spec: FaultSpec) -> Self {
         GenFault {
             at_instr: spec.at_instr,
@@ -201,8 +197,8 @@ impl GenFault {
         }
     }
 
-    /// The legacy spec this fault corresponds to, if it is a single-bit
-    /// register SEU.
+    /// The register SEU this fault is, if it flips exactly one bit of one
+    /// register.
     pub fn as_spec(&self) -> Option<FaultSpec> {
         match self.effect {
             FaultEffect::RegXor { reg, mask } if mask.count_ones() == 1 => Some(FaultSpec::new(
@@ -212,6 +208,12 @@ impl GenFault {
             )),
             _ => None,
         }
+    }
+}
+
+impl From<FaultSpec> for GenFault {
+    fn from(spec: FaultSpec) -> Self {
+        GenFault::from_spec(spec)
     }
 }
 
@@ -231,10 +233,7 @@ mod tests {
 
     #[test]
     fn injectable_regs_exclude_sp() {
-        let regs: Vec<u8> = FaultSpec::injectable_regs().collect();
-        assert_eq!(regs.len(), NUM_IREGS - 1);
-        assert!(!regs.contains(&SP.index()));
-        assert_eq!(regs, INJECTABLE_REGS.to_vec(), "iterator matches table");
+        assert!(!INJECTABLE_REGS.contains(&SP.index()));
         let mut sorted = INJECTABLE_REGS.to_vec();
         sorted.dedup();
         assert_eq!(sorted.len(), NUM_IREGS - 1, "no duplicates in table");
@@ -293,7 +292,8 @@ mod tests {
             }
         );
         assert_eq!(gen.as_spec(), Some(spec));
-        // Multi-bit masks are not legacy specs.
+        assert_eq!(GenFault::from(spec), gen);
+        // Multi-bit masks are not register SEUs.
         let multi = GenFault::new(0, FaultEffect::RegXor { reg: 5, mask: 0b11 });
         assert_eq!(multi.as_spec(), None);
         assert_eq!(

@@ -1626,7 +1626,7 @@ impl<'p, const L: usize> Pack<'p, L> {
         m.probes.trump_recovers += self.extra_probes[l].trump_recovers;
         m.injected = self.injected & (1 << l) != 0;
         m.fault_pc = self.fault_pc[l];
-        let result = m.run_mut(Some(self.faults[l]));
+        let result = m.run_mut(Some(self.faults[l].into()));
         self.results[l] = Some((classify(&runner.golden, &result), result));
     }
 }
@@ -1723,7 +1723,7 @@ impl<'r, 'p> LaneReplayer<'r, 'p> {
                     .map(|pc| self.runner.prog.role_of(pc))
                     .unwrap_or_default();
                 let record = FaultRecord {
-                    spec,
+                    fault: spec.into(),
                     outcome,
                     static_inst: result.fault_pc,
                     role,
@@ -1862,7 +1862,7 @@ mod tests {
             FaultSpec::new(21, 8, 11),
         ];
         for ((rec, res), &f) in lr.run_fault_group_records(&group).iter().zip(&group) {
-            let (sr, ss) = scalar.run_fault_record(f);
+            let (sr, ss) = scalar.run_fault_record(f.into());
             assert_eq!(*rec, sr, "{f}");
             assert_eq!(*res, ss, "{f}");
         }

@@ -1,21 +1,23 @@
 //! # sor-sim — the architectural simulator
 //!
-//! Executes [`sor_ir::Program`] images and injects single-event-upset (SEU)
-//! faults, replacing the paper's PPC970 hardware and binary-instrumentation
-//! injector.
+//! Executes [`sor_ir::Program`] images and injects transient faults —
+//! the paper's single-event upsets (SEUs) among them — replacing the
+//! paper's PPC970 hardware and binary-instrumentation injector.
 //!
 //! * [`Machine`] — functional execution over 32 integer + 32 float physical
 //!   registers and a segmented memory (null guard / globals / stack /
 //!   memory-mapped output). Any access outside a mapped segment terminates
 //!   the run as a SEGV, division by zero and stack overflow likewise.
-//! * [`FaultSpec`] — one bit-flip in one integer register before one dynamic
-//!   instruction, the paper's §7.1 fault model. The stack pointer is never
-//!   targeted (the paper excluded SP and TOC).
-//! * [`GenFault`] / [`FaultEffect`] — the generalized fault surface behind
-//!   the `sor-models` fault-model subsystem: register XOR bursts, PC
-//!   corruption, data-memory bit flips and transient-ALU (SET) result
-//!   corruption, each pinned bit-identical across both execution engines
-//!   and exactly equal to the legacy path for single-bit register upsets.
+//! * [`GenFault`] / [`FaultEffect`] — the one fault surface: a register
+//!   XOR (one bit is the paper's §7.1 SEU; wider masks are multi-bit
+//!   bursts), PC corruption, a data-memory bit flip or a transient-ALU
+//!   (SET) result corruption, applied at one dynamic instruction. Every
+//!   machine, replayer and [`FaultRecord`] takes a [`GenFault`], and each
+//!   effect is pinned bit-identical across the three execution engines.
+//! * [`FaultSpec`] — the paper's SEU as a value: one bit of one integer
+//!   register before one dynamic instruction, with the seed-stable §7.1
+//!   sampler. The stack pointer is never targeted (the paper excluded SP
+//!   and TOC). It injects by converting into a [`GenFault`].
 //! * [`DecodedProg`] / [`ExecEngine`] — the predecoded micro-op engine:
 //!   programs are translated once into fully-resolved micro-ops grouped
 //!   into straight-line superblocks, and the hot loop becomes a dense
@@ -78,6 +80,6 @@ pub use lanes::LaneReplayer;
 pub use machine::{ExecEngine, Machine, MachineConfig, ProbeCounts, RunResult, RunStatus};
 pub use mem::{MemError, Memory, PageSnapshot, PAGE_SIZE};
 pub use outcome::{classify, Outcome};
-pub use runner::{FaultRecord, GenFaultRecord, Replayer, Runner};
+pub use runner::{FaultRecord, Replayer, Runner};
 pub use timing::{Latencies, Timing, TimingConfig};
 pub use trace::TraceSink;

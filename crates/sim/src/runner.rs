@@ -10,17 +10,18 @@ use sor_ir::ProtectionRole;
 use std::sync::Arc;
 
 /// One fault injection annotated with its static provenance: which static
-/// instruction the flip landed on and what protection role that instruction
-/// plays. The unit of aggregation for per-site vulnerability triage.
+/// instruction the fault landed on and what protection role that
+/// instruction plays. The unit of aggregation for per-site vulnerability
+/// triage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRecord {
-    /// The injected fault (register, bit, dynamic slot).
-    pub spec: FaultSpec,
+    /// The injected fault (effect + dynamic slot).
+    pub fault: GenFault,
     /// Classified outcome of the run.
     pub outcome: Outcome,
-    /// Static instruction (program counter) about to execute when the flip
-    /// landed; `None` when the fault point was past the end of the run, so
-    /// the fault never fired.
+    /// Static instruction (program counter) about to execute when the
+    /// fault fired; `None` when the fault point was past the end of the
+    /// run, so the fault never fired.
     pub static_inst: Option<usize>,
     /// Protection role of that instruction ([`ProtectionRole::Original`]
     /// for images lowered from untagged modules or unfired faults).
@@ -28,28 +29,6 @@ pub struct FaultRecord {
 }
 
 impl FaultRecord {
-    /// The dynamic instruction slot the fault was armed for.
-    pub fn dynamic_slot(&self) -> u64 {
-        self.spec.at_instr
-    }
-}
-
-/// A [`FaultRecord`] under a generalized fault model: the injected
-/// [`GenFault`] plus the same outcome/provenance annotations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GenFaultRecord {
-    /// The injected fault (effect + dynamic slot).
-    pub fault: GenFault,
-    /// Classified outcome of the run.
-    pub outcome: Outcome,
-    /// Static instruction about to execute when the fault fired; `None`
-    /// when the fault point was past the end of the run.
-    pub static_inst: Option<usize>,
-    /// Protection role of that instruction.
-    pub role: ProtectionRole,
-}
-
-impl GenFaultRecord {
     /// The dynamic instruction slot the fault was armed for.
     pub fn dynamic_slot(&self) -> u64 {
         self.fault.at_instr
@@ -284,16 +263,16 @@ impl<'p> Runner<'p> {
         }
     }
 
+    /// Runs once with the register SEU `fault` injected and classifies the
+    /// outcome: [`Runner::run_fault_gen`] on the equivalent [`GenFault`].
+    pub fn run_fault(&self, fault: FaultSpec) -> (Outcome, RunResult) {
+        self.run_fault_gen(fault.into())
+    }
+
     /// Runs once with `fault` injected and classifies the outcome.
     ///
     /// Convenience wrapper that builds a fresh [`Replayer`] per call; loops
     /// should build one replayer and reuse it.
-    pub fn run_fault(&self, fault: FaultSpec) -> (Outcome, RunResult) {
-        self.replayer().run_fault(fault)
-    }
-
-    /// Runs once with the generalized `fault` injected and classifies the
-    /// outcome (convenience wrapper; loops should reuse a [`Replayer`]).
     pub fn run_fault_gen(&self, fault: GenFault) -> (Outcome, RunResult) {
         self.replayer().run_fault_gen(fault)
     }
@@ -301,7 +280,7 @@ impl<'p> Runner<'p> {
     /// Creates a lane-parallel fault-run executor that runs up to `lanes`
     /// injections in SPMD lockstep over this runner's decoded image (see
     /// [`crate::LaneReplayer`]). The width rounds down to the supported
-    /// pack widths {2, 4, 8}; `lanes < 2` still builds a 2-wide pack
+    /// pack widths {2, 4, 8, 16}; `lanes < 2` still builds a 2-wide pack
     /// (singleton groups degrade to the scalar engine internally).
     ///
     /// # Panics
@@ -321,13 +300,19 @@ pub struct Replayer<'r, 'p> {
 }
 
 impl Replayer<'_, '_> {
+    /// Runs once with the register SEU `fault` injected and classifies the
+    /// outcome: [`Replayer::run_fault_gen`] on the equivalent [`GenFault`].
+    pub fn run_fault(&mut self, fault: FaultSpec) -> (Outcome, RunResult) {
+        self.run_fault_gen(fault.into())
+    }
+
     /// Runs once with `fault` injected and classifies the outcome.
     ///
     /// When checkpointing is enabled the machine restores the nearest
     /// checkpoint at or before the fault point and executes only the
     /// suffix; otherwise it resets and executes from instruction 0. Both
     /// paths return results bit-identical to a fresh from-scratch run.
-    pub fn run_fault(&mut self, fault: FaultSpec) -> (Outcome, RunResult) {
+    pub fn run_fault_gen(&mut self, fault: GenFault) -> (Outcome, RunResult) {
         let prefix = self.runner.ckpts.prefix_for(fault.at_instr);
         self.machine
             .prepare_replay(prefix, &self.runner.golden.output);
@@ -335,46 +320,17 @@ impl Replayer<'_, '_> {
         (classify(&self.runner.golden, &result), result)
     }
 
-    /// Runs once with the generalized `fault` injected and classifies the
-    /// outcome. For a `RegXor { mask: 1 << bit }` effect this is pinned
-    /// bit-identical to [`Replayer::run_fault`] with the equivalent
-    /// [`FaultSpec`].
-    pub fn run_fault_gen(&mut self, fault: GenFault) -> (Outcome, RunResult) {
-        let prefix = self.runner.ckpts.prefix_for(fault.at_instr);
-        self.machine
-            .prepare_replay(prefix, &self.runner.golden.output);
-        let result = self.machine.run_mut_gen(Some(fault));
-        (classify(&self.runner.golden, &result), result)
-    }
-
-    /// Runs once with the generalized `fault` injected and returns the
-    /// provenance-annotated [`GenFaultRecord`] alongside the raw result.
-    pub fn run_fault_record_gen(&mut self, fault: GenFault) -> (GenFaultRecord, RunResult) {
+    /// Runs once with `fault` injected and returns the provenance-annotated
+    /// [`FaultRecord`] alongside the raw result, attributing the fault to
+    /// the static instruction and protection role it landed on.
+    pub fn run_fault_record(&mut self, fault: GenFault) -> (FaultRecord, RunResult) {
         let (outcome, result) = self.run_fault_gen(fault);
         let role = result
             .fault_pc
             .map(|pc| self.runner.prog.role_of(pc))
             .unwrap_or_default();
-        let record = GenFaultRecord {
-            fault,
-            outcome,
-            static_inst: result.fault_pc,
-            role,
-        };
-        (record, result)
-    }
-
-    /// Runs once with `fault` injected and returns the provenance-annotated
-    /// [`FaultRecord`] alongside the raw result, attributing the fault to
-    /// the static instruction and protection role it landed on.
-    pub fn run_fault_record(&mut self, fault: FaultSpec) -> (FaultRecord, RunResult) {
-        let (outcome, result) = self.run_fault(fault);
-        let role = result
-            .fault_pc
-            .map(|pc| self.runner.prog.role_of(pc))
-            .unwrap_or_default();
         let record = FaultRecord {
-            spec: fault,
+            fault,
             outcome,
             static_inst: result.fault_pc,
             role,
@@ -465,7 +421,7 @@ mod tests {
         let golden_len = r.golden().dyn_instrs;
         let mut replayer = r.replayer();
         let mut damaged = 0;
-        for reg in FaultSpec::injectable_regs() {
+        for reg in crate::INJECTABLE_REGS {
             for at in 0..golden_len {
                 for bit in [0u8, 20, 40, 62] {
                     let (o, _) = replayer.run_fault(FaultSpec::new(at, reg, bit));
@@ -503,7 +459,7 @@ mod tests {
             assert!(checkpointed.checkpoints().len() > 2);
             let golden_len = reference.golden().dyn_instrs;
             let mut replayer = checkpointed.replayer();
-            for reg in FaultSpec::injectable_regs() {
+            for reg in crate::INJECTABLE_REGS {
                 for at in 0..golden_len {
                     for bit in [0u8, 1, 17, 33, 63] {
                         let f = FaultSpec::new(at, reg, bit);
@@ -566,32 +522,6 @@ mod tests {
         let first: Vec<Outcome> = probe.iter().map(|&f| replayer.run_fault(f).0).collect();
         let second: Vec<Outcome> = probe.iter().map(|&f| replayer.run_fault(f).0).collect();
         assert_eq!(first, second, "reuse changed outcomes");
-    }
-
-    /// The generalized injection path with a single-bit `RegXor` is the
-    /// legacy SEU path, bit for bit: same outcome, output, dynamic count,
-    /// probes and `fault_pc`, on both engines.
-    #[test]
-    fn gen_reg_xor_single_bit_is_the_legacy_seu_exactly() {
-        for engine in ExecEngine::ALL {
-            let prog = looping_program();
-            let cfg = MachineConfig {
-                engine,
-                ..MachineConfig::default()
-            };
-            let r = Runner::new(&prog, &cfg);
-            let golden_len = r.golden().dyn_instrs;
-            let mut replayer = r.replayer();
-            for at in 0..golden_len {
-                for (reg, bit) in [(3u8, 0u8), (5, 17), (8, 62)] {
-                    let spec = FaultSpec::new(at, reg, bit);
-                    let (o_spec, r_spec) = replayer.run_fault(spec);
-                    let (o_gen, r_gen) = replayer.run_fault_gen(crate::GenFault::from_spec(spec));
-                    assert_eq!(o_spec, o_gen, "{spec} ({engine:?}): outcome diverged");
-                    assert_eq!(r_spec, r_gen, "{spec} ({engine:?}): result diverged");
-                }
-            }
-        }
     }
 
     /// Every generalized effect is pinned decoded == legacy on every
@@ -683,7 +613,7 @@ mod tests {
             let mut rl = legacy.replayer();
             let mut rd = decoded.replayer();
             let mut rj = jit.replayer();
-            for reg in FaultSpec::injectable_regs() {
+            for reg in crate::INJECTABLE_REGS {
                 for at in 0..golden_len {
                     for bit in [0u8, 17, 40, 63] {
                         let f = FaultSpec::new(at, reg, bit);

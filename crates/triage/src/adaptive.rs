@@ -123,7 +123,7 @@ fn inject_one(
     slots: &mut BTreeMap<usize, Vec<u64>>,
     fault: FaultSpec,
 ) {
-    let (rec, res) = replayer.run_fault_record(fault);
+    let (rec, res) = replayer.run_fault_record(fault.into());
     profile.record(&rec, res.probes.vote_repairs + res.probes.trump_recovers);
     if let Some(pc) = rec.static_inst {
         slots.entry(pc).or_default().push(fault.at_instr);

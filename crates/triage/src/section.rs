@@ -14,7 +14,7 @@
 //!   campaign is reused as-is.
 
 use crate::profile::VulnerabilityProfile;
-use sor_sim::{FaultSpec, Runner};
+use sor_sim::{GenFault, Runner};
 
 /// One contiguous dynamic-slot section of a campaign and its profile.
 #[derive(Debug, Clone)]
@@ -24,7 +24,7 @@ pub struct Section {
     /// Last dynamic slot covered (exclusive).
     pub end: u64,
     /// The injections assigned to this section.
-    pub faults: Vec<FaultSpec>,
+    pub faults: Vec<GenFault>,
     /// The section's profile (empty until injected).
     pub profile: VulnerabilityProfile,
 }
@@ -54,7 +54,7 @@ impl SectionalTriage {
     /// without injecting anything. The ranges evenly split `[0, horizon)`
     /// where the horizon is one past the latest fault point, so faults
     /// armed past the end of the run land in the last section.
-    pub fn partition(faults: &[FaultSpec], nsections: usize) -> Self {
+    pub fn partition(faults: &[GenFault], nsections: usize) -> Self {
         let horizon = faults.iter().map(|f| f.at_instr).max().map_or(1, |m| m + 1);
         let n = nsections.max(1) as u64;
         let mut sections: Vec<Section> = (0..n)
@@ -77,7 +77,7 @@ impl SectionalTriage {
 
     /// Partitions and profiles every section: the full campaign, run
     /// section by section.
-    pub fn run(runner: &Runner, faults: &[FaultSpec], nsections: usize) -> Self {
+    pub fn run(runner: &Runner, faults: &[GenFault], nsections: usize) -> Self {
         let mut triage = Self::partition(faults, nsections);
         for s in &mut triage.sections {
             s.inject(runner);
@@ -116,14 +116,15 @@ impl SectionalTriage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sor_sim::FaultSpec;
 
-    fn spec(at: u64) -> FaultSpec {
-        FaultSpec::new(at, 2, 5)
+    fn spec(at: u64) -> GenFault {
+        FaultSpec::new(at, 2, 5).into()
     }
 
     #[test]
     fn partition_covers_every_fault_exactly_once() {
-        let faults: Vec<FaultSpec> = (0..97).map(spec).collect();
+        let faults: Vec<GenFault> = (0..97).map(spec).collect();
         let t = SectionalTriage::partition(&faults, 5);
         assert_eq!(t.sections.len(), 5);
         assert_eq!(t.injections(), 97);

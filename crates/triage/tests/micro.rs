@@ -80,7 +80,7 @@ fn exhaustive(runner: &Runner, regs: &[u8], bits: &[u8]) -> (VulnerabilityProfil
     for at in 0..golden_len {
         for &reg in regs {
             for &bit in bits {
-                let (rec, res) = replayer.run_fault_record(FaultSpec::new(at, reg, bit));
+                let (rec, res) = replayer.run_fault_record(FaultSpec::new(at, reg, bit).into());
                 profile.record(&rec, res.probes.vote_repairs + res.probes.trump_recovers);
                 injections += 1;
             }
@@ -199,7 +199,7 @@ fn swiftr_voter_faults_recover_or_escape_through_vote_to_use_window() {
     for at in 0..golden_len {
         for reg in [2u8, 3, 4, 5, 6, 7] {
             for bit in [0u8, 31, 62] {
-                let (rec, res) = replayer.run_fault_record(FaultSpec::new(at, reg, bit));
+                let (rec, res) = replayer.run_fault_record(FaultSpec::new(at, reg, bit).into());
                 if rec.role != ProtectionRole::Voter {
                     continue;
                 }
@@ -218,7 +218,7 @@ fn swiftr_voter_faults_recover_or_escape_through_vote_to_use_window() {
                     "voter-site fault {} produced {:?} but r{reg} is not consumed \
                      by the next protected use `{}` at pc {next_use} — a silent \
                      escape outside the vote-to-use window",
-                    rec.spec,
+                    rec.fault,
                     rec.outcome,
                     program.insts[next_use]
                 );
@@ -349,7 +349,7 @@ fn cfcss_detects_every_wrong_successor_pc_corruption() {
                     mask: (pc ^ h) as u64,
                 },
             );
-            let (rec, _) = replayer.run_fault_record_gen(fault);
+            let (rec, _) = replayer.run_fault_record(fault);
             wrong_landings += 1;
             assert_eq!(
                 rec.outcome,

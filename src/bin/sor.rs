@@ -171,7 +171,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         state ^= state << 17;
         state
     };
-    let regs: Vec<u8> = FaultSpec::injectable_regs().collect();
+    let regs = &sor_sim::INJECTABLE_REGS;
     let mut counts = OutcomeCounts::default();
     for _ in 0..runs {
         let f = FaultSpec::new(

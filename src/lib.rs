@@ -56,6 +56,8 @@ pub mod prelude {
     };
     pub use sor_ir::{layout, MemWidth, Module, ModuleBuilder, Operand, RegClass, Width};
     pub use sor_regalloc::{lower, LowerConfig};
-    pub use sor_sim::{FaultSpec, Machine, MachineConfig, Outcome, RunStatus};
+    pub use sor_sim::{
+        FaultSpec, GenFault, Machine, MachineConfig, Outcome, RunStatus, INJECTABLE_REGS,
+    };
     pub use sor_workloads::{all_workloads, Workload};
 }

@@ -1,6 +1,7 @@
 //! Targeted fault-injection integration tests: the recovery mechanisms, the
 //! windows of vulnerability (§3.2) and the figure pipeline.
 
+use software_only_recovery::harness::{ExecEngine, FaultModel};
 use software_only_recovery::prelude::*;
 use software_only_recovery::recovery::Technique as T;
 use software_only_recovery::workloads::{AdpcmDec, Mpeg2Enc, Parser};
@@ -104,21 +105,34 @@ fn swift_detects_instead_of_corrupting() {
     );
 }
 
-/// Campaign determinism across repeated invocations (same seed).
+/// Campaign determinism across repeated invocations (same seed), under
+/// every fault model on every engine: the one injection path must give
+/// the same histogram on the legacy stepper, the decoded engine and the
+/// JIT, and the same histogram again on a repeat.
 #[test]
 fn campaigns_are_reproducible() {
     let w = Parser {
         text_len: 120,
         seed: 5,
     };
-    let cfg = CampaignConfig {
-        runs: 40,
-        threads: 3,
-        ..CampaignConfig::default()
-    };
-    let a = run_campaign(&w, T::TrumpMask, &cfg);
-    let b = run_campaign(&w, T::TrumpMask, &cfg);
-    assert_eq!(a.counts, b.counts);
+    for model in FaultModel::ALL {
+        let mut reference = None;
+        for engine in ExecEngine::ALL {
+            let cfg = CampaignConfig {
+                runs: 40,
+                threads: 3,
+                engine,
+                fault_model: model,
+                ..CampaignConfig::default()
+            };
+            let a = run_campaign(&w, T::TrumpMask, &cfg);
+            let b = run_campaign(&w, T::TrumpMask, &cfg);
+            assert_eq!(a.counts.total(), 40, "{model}/{engine}");
+            assert_eq!(a.counts, b.counts, "{model}/{engine}: repeat diverged");
+            let first = *reference.get_or_insert(a.counts);
+            assert_eq!(a.counts, first, "{model}/{engine}: engines diverged");
+        }
+    }
 }
 
 /// The reliability ordering that is the paper's whole point, on one
