@@ -1,8 +1,8 @@
 //! Compositional incremental re-certification: content-addressed section
 //! keys over the certification plan.
 //!
-//! A monolithic [`crate::CertifiedCoverage`] run executes every live
-//! equivalence class of the [`CertPlan`]. This module cuts that work into
+//! A monolithic [`crate::CertifiedCoverage`] run executes every
+//! equivalence class of the [`GenCertPlan`]. This module cuts that work into
 //! contiguous dynamic-slot **sections**, each carrying a [`SectionKey`]
 //! derived purely from content digests, so a persistent store can serve a
 //! section's executed class histograms back without re-injecting anything.
@@ -12,7 +12,7 @@
 //! A cached hit must imply the recomputed result would be bit-identical.
 //! The simulator is deterministic and a lowered [`Program`] bakes in its
 //! input data (the global image), so the outcome of *every* fault
-//! `(slot, reg, bit)` is a pure function of `(program, fault)` — nothing
+//! `(slot, effect)` is a pure function of `(program, fault)` — nothing
 //! else: no wall clock, no thread schedule, no allocator state reaches an
 //! outcome. The key therefore needs exactly three components:
 //!
@@ -27,10 +27,24 @@
 //!    representatives, and the pcs faults fire at are all functions of the
 //!    trace, so simulator/tracer evolution that alters any of them changes
 //!    the digest and forces re-execution instead of serving stale shapes.
-//! 3. **Fault-model digest** ([`fault_config_digest`]): the injectable
-//!    register set, bits per register, and a semantics version bumped
-//!    whenever injection/outcome-classification semantics change
-//!    incompatibly.
+//! 3. **Fault-model digest** ([`fault_model_config_digest`] of the plan's
+//!    model slug): the model identity, the injectable register set, bits
+//!    per register, and a semantics version bumped whenever
+//!    injection/outcome-classification semantics change incompatibly. A
+//!    model's mask table and per-slot class shape are functions of its
+//!    identity and the trace, so two models never share a section and
+//!    `seu-reg` keys are exactly the pre-model ones.
+//!
+//! ## Validating a stored section
+//!
+//! A stored [`ClassOutcome`] is served only if it lines up with the class
+//! the fresh plan puts in the same position ([`CertSection::matches`]):
+//! the same register tag (a register, or [`GenClass::SLOT_TAG`](crate::GenClass::SLOT_TAG) for
+//! per-slot models), the same representative slot, and a histogram that
+//! sums to exactly the class's mask count. A record that fails any of
+//! these — a digest collision, drift, or a forged or damaged record that
+//! still checksums — degrades to a warned recompute, never to a wrong or
+//! panicking assembly.
 //!
 //! Deliberately *excluded*: thread count, lane width, checkpoint interval
 //! and execution engine (results are pinned independent of them by the
@@ -39,11 +53,12 @@
 //! differently-named workloads that lower to the same image share cache
 //! entries, and renames never poison the store.
 
-use crate::liveness::CertPlan;
+use crate::models::GenCertPlan;
 use crate::trace::DefUseTrace;
 use sor_ir::{ContentHash, Digest, Fnv1a, Program};
 use sor_sim::INJECTABLE_REGS;
 use sor_stats::OutcomeCounts;
+use std::borrow::Borrow;
 
 /// Bump when injection or outcome-classification semantics change in a
 /// way that invalidates previously stored section results.
@@ -95,32 +110,54 @@ pub struct CertSection {
     pub lo: u64,
     /// One past the last dynamic slot (exclusive).
     pub hi: u64,
-    /// Indices into [`CertPlan::classes`] whose representative slot
-    /// (`range.hi`) falls in `lo..hi` — the injections this section owns.
+    /// Indices into [`GenCertPlan::classes`] whose representative slot
+    /// (`class.hi`) falls in `lo..hi` — the injections this section owns.
     pub classes: Vec<usize>,
     /// The section's content-addressed store key.
     pub key: SectionKey,
 }
 
-/// The executed (or cached) result of one section: the 64-bit-injection
-/// histogram of every class the section owns, tagged with the class's
-/// `(register, representative slot)` so a consumer can verify alignment
-/// with its own freshly built plan before trusting cached data.
+/// The executed (or cached) result of one section: the histogram of every
+/// class the section owns, tagged with the class's `(register tag,
+/// representative slot)` so a consumer can verify alignment with its own
+/// freshly built plan before trusting cached data.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SectionOutcomes {
     /// One entry per owned class, in [`CertSection::classes`] order.
     pub classes: Vec<ClassOutcome>,
 }
 
-/// One executed equivalence class: 64 injections of `reg` at slot `rep`.
+/// One executed equivalence class: its masks injected at slot `rep`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassOutcome {
-    /// Flipped register.
+    /// The class's [`GenClass::reg`](crate::GenClass::reg) tag: the flipped register, or
+    /// [`GenClass::SLOT_TAG`](crate::GenClass::SLOT_TAG) for a per-slot class.
     pub reg: u8,
-    /// Representative injection slot (the class window's first read).
+    /// Representative injection slot ([`GenClass::hi`](crate::GenClass::hi)).
     pub rep: u64,
-    /// Aggregated histogram of the 64 bit-injections.
+    /// Aggregated histogram of the class's injections.
     pub counts: OutcomeCounts,
+}
+
+impl CertSection {
+    /// Whether `outcomes` lines up with this section's classes in `plan`:
+    /// one entry per owned class, each with the class's `(reg, rep)` tag
+    /// and a histogram summing to exactly the class's mask count. The
+    /// check every stored section passes before it is served.
+    pub fn matches(&self, plan: &GenCertPlan, outcomes: &SectionOutcomes) -> bool {
+        outcomes.classes.len() == self.classes.len()
+            && self
+                .classes
+                .iter()
+                .zip(&outcomes.classes)
+                .all(|(&idx, out)| {
+                    plan.classes.get(idx).is_some_and(|class| {
+                        class.reg == out.reg
+                            && class.hi == out.rep
+                            && out.counts.total() == u64::from(class.masks)
+                    })
+                })
+    }
 }
 
 /// A certification plan partitioned into content-addressed sections.
@@ -134,7 +171,7 @@ impl CertSections {
     /// Partitions `plan` into (at most) `nsections` contiguous dynamic-slot
     /// sections and derives each section's [`SectionKey`].
     ///
-    /// Every live class is owned by exactly the section containing its
+    /// Every class is owned by exactly the section containing its
     /// representative slot; sections therefore tile the plan's injections
     /// exactly. `nsections` is clamped to at least 1; a run shorter than
     /// `nsections` slots yields fewer, never empty-beyond-the-run,
@@ -142,11 +179,11 @@ impl CertSections {
     pub fn partition(
         program: &Program,
         trace: &DefUseTrace,
-        plan: &CertPlan,
+        plan: &GenCertPlan,
         nsections: usize,
     ) -> CertSections {
         let program_digest = program.content_digest();
-        let config = fault_config_digest();
+        let config = fault_model_config_digest(plan.model.slug());
         let len = plan.golden_len;
         let n = (nsections.max(1) as u64).min(len.max(1));
         let mut sections: Vec<CertSection> = (0..n)
@@ -177,32 +214,27 @@ impl CertSections {
     }
 
     /// Scatters per-section outcomes back into the plan-aligned
-    /// `class_results` vector [`crate::CertifiedCoverage::assemble`]
-    /// expects.
+    /// `class_results` vector [`GenCertPlan::assemble`] expects.
     ///
     /// Returns `None` — caller must fall back to recomputation — if any
-    /// section's outcomes do not line up with the plan (wrong class count,
-    /// or a `(reg, rep)` tag disagreeing with the plan's class), which is
-    /// how digest collisions and any undetected drift degrade: to a cache
+    /// section's outcomes fail [`CertSection::matches`], which is how
+    /// digest collisions and any undetected drift degrade: to a cache
     /// miss, never to wrong results.
-    pub fn scatter(
+    pub fn scatter<S: Borrow<SectionOutcomes>>(
         &self,
-        plan: &CertPlan,
-        per_section: &[SectionOutcomes],
+        plan: &GenCertPlan,
+        per_section: &[S],
     ) -> Option<Vec<OutcomeCounts>> {
         if per_section.len() != self.sections.len() {
             return None;
         }
         let mut results = vec![None; plan.classes.len()];
         for (section, outcomes) in self.sections.iter().zip(per_section) {
-            if outcomes.classes.len() != section.classes.len() {
+            let outcomes = outcomes.borrow();
+            if !section.matches(plan, outcomes) {
                 return None;
             }
             for (&idx, out) in section.classes.iter().zip(&outcomes.classes) {
-                let class = plan.classes.get(idx)?;
-                if class.reg != out.reg || class.hi != out.rep {
-                    return None;
-                }
                 results[idx] = Some(out.counts);
             }
         }
@@ -220,6 +252,7 @@ mod tests {
     use super::*;
     use sor_core::Technique;
     use sor_ir::{MemWidth, ModuleBuilder, Operand, Width};
+    use sor_models::FaultModel;
     use sor_regalloc::{lower, LowerConfig};
     use sor_sim::{MachineConfig, Runner};
 
@@ -243,36 +276,53 @@ mod tests {
         lower(&module, &LowerConfig::default()).unwrap()
     }
 
-    fn plan_for(prog: &Program) -> (DefUseTrace, CertPlan) {
+    /// The certifiable models: every input the section tests loop over.
+    const MODELS: [FaultModel; 4] = [
+        FaultModel::SeuReg,
+        FaultModel::MultiBitUpset,
+        FaultModel::TransientAlu,
+        FaultModel::PcCorrupt,
+    ];
+
+    fn plan_for(prog: &Program, model: FaultModel) -> (DefUseTrace, GenCertPlan) {
         let runner = Runner::new(prog, &MachineConfig::default());
         let trace = DefUseTrace::record(&runner);
-        let plan = CertPlan::build(&trace);
+        let plan = GenCertPlan::build(model, prog, &trace).unwrap();
         (trace, plan)
     }
 
     #[test]
     fn sections_tile_the_run_and_own_every_class_once() {
         let prog = program(1);
-        let (trace, plan) = plan_for(&prog);
-        let sections = CertSections::partition(&prog, &trace, &plan, 4);
-        assert_eq!(sections.sections.len(), 4);
-        assert_eq!(sections.sections[0].lo, 0);
-        assert_eq!(sections.sections.last().unwrap().hi, plan.golden_len);
-        for w in sections.sections.windows(2) {
-            assert_eq!(w[0].hi, w[1].lo, "sections must be contiguous");
-        }
-        // Every class owned exactly once, by the section holding its rep.
-        let mut owned: Vec<usize> = sections
-            .sections
-            .iter()
-            .flat_map(|s| s.classes.iter().copied())
-            .collect();
-        owned.sort_unstable();
-        assert_eq!(owned, (0..plan.classes.len()).collect::<Vec<_>>());
-        for s in &sections.sections {
-            for &idx in &s.classes {
-                let rep = plan.classes[idx].hi;
-                assert!(s.lo <= rep && rep < s.hi);
+        for model in MODELS {
+            let (trace, plan) = plan_for(&prog, model);
+            let sections = CertSections::partition(&prog, &trace, &plan, 4);
+            assert_eq!(sections.sections.len(), 4, "{model}");
+            assert_eq!(sections.sections[0].lo, 0);
+            assert_eq!(sections.sections.last().unwrap().hi, plan.golden_len);
+            for w in sections.sections.windows(2) {
+                assert_eq!(w[0].hi, w[1].lo, "{model}: sections must be contiguous");
+            }
+            for s in &sections.sections {
+                assert_eq!(s.key.config, fault_model_config_digest(model.slug()));
+            }
+            // Every class owned exactly once, by the section holding its rep.
+            let mut owned: Vec<usize> = sections
+                .sections
+                .iter()
+                .flat_map(|s| s.classes.iter().copied())
+                .collect();
+            owned.sort_unstable();
+            assert_eq!(
+                owned,
+                (0..plan.classes.len()).collect::<Vec<_>>(),
+                "{model}"
+            );
+            for s in &sections.sections {
+                for &idx in &s.classes {
+                    let rep = plan.classes[idx].hi;
+                    assert!(s.lo <= rep && rep < s.hi, "{model}");
+                }
             }
         }
     }
@@ -280,7 +330,7 @@ mod tests {
     #[test]
     fn keys_are_reproducible_and_section_distinct() {
         let prog = program(1);
-        let (trace, plan) = plan_for(&prog);
+        let (trace, plan) = plan_for(&prog, FaultModel::SeuReg);
         let a = CertSections::partition(&prog, &trace, &plan, 4);
         let b = CertSections::partition(&prog, &trace, &plan, 4);
         for (x, y) in a.sections.iter().zip(&b.sections) {
@@ -295,8 +345,8 @@ mod tests {
     fn a_program_edit_changes_every_section_key() {
         let pa = program(1);
         let pb = program(2);
-        let (ta, plana) = plan_for(&pa);
-        let (tb, planb) = plan_for(&pb);
+        let (ta, plana) = plan_for(&pa, FaultModel::SeuReg);
+        let (tb, planb) = plan_for(&pb, FaultModel::SeuReg);
         let sa = CertSections::partition(&pa, &ta, &plana, 4);
         let sb = CertSections::partition(&pb, &tb, &planb, 4);
         for (x, y) in sa.sections.iter().zip(&sb.sections) {
@@ -310,52 +360,63 @@ mod tests {
     #[test]
     fn scatter_rebuilds_plan_order_and_rejects_misalignment() {
         let prog = program(1);
-        let (trace, plan) = plan_for(&prog);
-        let sections = CertSections::partition(&prog, &trace, &plan, 3);
-        // Fabricate per-section outcomes whose counts encode the class
-        // index, then check scatter restores plan order.
-        let per_section: Vec<SectionOutcomes> = sections
-            .sections
-            .iter()
-            .map(|s| SectionOutcomes {
-                classes: s
-                    .classes
-                    .iter()
-                    .map(|&idx| ClassOutcome {
-                        reg: plan.classes[idx].reg,
-                        rep: plan.classes[idx].hi,
-                        counts: OutcomeCounts {
-                            unace: idx as u64,
-                            ..OutcomeCounts::default()
-                        },
-                    })
-                    .collect(),
-            })
-            .collect();
-        let results = sections.scatter(&plan, &per_section).expect("aligned");
-        assert_eq!(results.len(), plan.classes.len());
-        for (idx, c) in results.iter().enumerate() {
-            assert_eq!(c.unace, idx as u64);
+        for model in MODELS {
+            let (trace, plan) = plan_for(&prog, model);
+            let sections = CertSections::partition(&prog, &trace, &plan, 3);
+            // Fabricate per-section outcomes whose recoveries encode the
+            // class index (one unACE run per mask keeps them valid), then
+            // check scatter restores plan order.
+            let per_section: Vec<SectionOutcomes> = sections
+                .sections
+                .iter()
+                .map(|s| SectionOutcomes {
+                    classes: s
+                        .classes
+                        .iter()
+                        .map(|&idx| ClassOutcome {
+                            reg: plan.classes[idx].reg,
+                            rep: plan.classes[idx].hi,
+                            counts: OutcomeCounts {
+                                unace: u64::from(plan.classes[idx].masks),
+                                recoveries: idx as u64,
+                                ..OutcomeCounts::default()
+                            },
+                        })
+                        .collect(),
+                })
+                .collect();
+            let results = sections.scatter(&plan, &per_section).expect("aligned");
+            assert_eq!(results.len(), plan.classes.len(), "{model}");
+            for (idx, c) in results.iter().enumerate() {
+                assert_eq!(c.recoveries, idx as u64, "{model}");
+            }
+            let v = per_section
+                .iter()
+                .position(|s| !s.classes.is_empty())
+                .expect("some section owns a class");
+            // A (reg, rep) tag mismatch is rejected, not misattributed.
+            let mut bad = per_section.clone();
+            bad[v].classes[0].rep += 1;
+            assert!(sections.scatter(&plan, &bad).is_none(), "{model}");
+            let mut bad = per_section.clone();
+            bad[v].classes[0].reg ^= 1;
+            assert!(sections.scatter(&plan, &bad).is_none(), "{model}");
+            // A histogram that does not sum to the class's masks is
+            // rejected: a forged record must not reach assembly.
+            let mut bad = per_section.clone();
+            bad[v].classes[0].counts.unace += 1;
+            assert!(sections.scatter(&plan, &bad).is_none(), "{model}");
+            // A count mismatch is rejected too.
+            let mut short = per_section.clone();
+            short[v].classes.pop();
+            assert!(sections.scatter(&plan, &short).is_none(), "{model}");
         }
-        // A (reg, rep) tag mismatch is rejected, not misattributed.
-        let mut bad = per_section.clone();
-        let victim = bad
-            .iter_mut()
-            .find(|s| !s.classes.is_empty())
-            .expect("some section owns a class");
-        victim.classes[0].rep += 1;
-        assert!(sections.scatter(&plan, &bad).is_none());
-        // A count mismatch is rejected too.
-        let mut short = per_section.clone();
-        let victim = short.iter_mut().find(|s| !s.classes.is_empty()).unwrap();
-        victim.classes.pop();
-        assert!(sections.scatter(&plan, &short).is_none());
     }
 
     #[test]
     fn nsections_clamps_to_run_length() {
         let prog = program(1);
-        let (trace, plan) = plan_for(&prog);
+        let (trace, plan) = plan_for(&prog, FaultModel::SeuReg);
         let s = CertSections::partition(&prog, &trace, &plan, usize::MAX);
         assert_eq!(s.sections.len() as u64, plan.golden_len);
         assert_eq!(s.total_classes(), plan.classes.len());
@@ -366,7 +427,7 @@ mod tests {
     #[test]
     fn trace_digests_distinguish_slices_and_programs() {
         let prog = program(1);
-        let (trace, plan) = plan_for(&prog);
+        let (trace, plan) = plan_for(&prog, FaultModel::SeuReg);
         assert_ne!(
             trace.digest_slice(&prog, 0, plan.golden_len / 2),
             trace.digest_slice(&prog, plan.golden_len / 2, plan.golden_len)
@@ -377,7 +438,7 @@ mod tests {
         // identical. The slice digest folds in instruction content and
         // must still tell them apart; the raw trace digest alone is why
         // the section key also carries the program digest.
-        let (trace2, plan2) = plan_for(&program(2));
+        let (trace2, plan2) = plan_for(&program(2), FaultModel::SeuReg);
         assert_eq!(trace.content_digest(), trace2.content_digest());
         assert_ne!(
             trace.digest_slice(&program(1), 0, plan.golden_len),

@@ -2,9 +2,10 @@
 //!
 //! Sampled campaigns (sor-harness, sor-triage) estimate coverage with
 //! Wilson intervals; this crate makes the *exact* question tractable:
-//! classify every single (dynamic instruction, register, bit) fault site
-//! of a golden run, so "SWIFT-R recovers 100% of single faults on this
-//! kernel" becomes a certificate instead of an estimate.
+//! classify every single fault site of a golden run — for the default
+//! register SEU, every (dynamic instruction, register, bit) — so "SWIFT-R
+//! recovers 100% of single faults on this kernel" becomes a certificate
+//! instead of an estimate.
 //!
 //! * [`DefUseTrace`] — the golden run's per-slot integer-register def-use
 //!   record, captured through `sor-sim`'s [`sor_sim::TraceSink`] hook.
@@ -12,19 +13,26 @@
 //!   each site is **dead** (written or never accessed before the flip can
 //!   be read — provably unACE, pruned analytically) or **live** (the flip
 //!   reaches a first reader).
-//! * [`CertPlan`] — the full cube partitioned into dead windows and live
-//!   read-window equivalence classes ([`SlotRange`]); one injection per
-//!   bit at each class representative certifies the whole window.
-//! * [`CertifiedCoverage`] — the assembled exact report: outcome
-//!   histogram, per-static-instruction and per-[`ProtectionRole`]
-//!   attribution over *all* sites, bit-for-bit equal to brute force (the
-//!   harness oracle test pins this).
-//! * [`CertSections`] / [`SectionKey`] — the plan partitioned into
+//! * [`CertPlan`] — the register read-window partition: dead windows and
+//!   live read-window equivalence classes ([`SlotRange`]).
+//! * [`GenCertPlan`] — the certification plan every driver, section
+//!   partition and assembler takes, one per certifiable fault model: the
+//!   model's space split into executed [`GenClass`]es and
+//!   analytically-unACE windows. Register models reuse the [`CertPlan`]
+//!   windows; `transient-alu` and `pc-corrupt` plan per slot; `mem-bit`
+//!   is refused ([`ModelPlanError`]). Per-model soundness arguments live
+//!   in the `models` module docs and DESIGN.md §16.
+//! * [`CertifiedCoverage`] — the exact report [`GenCertPlan::assemble`]
+//!   builds: outcome histogram, per-static-instruction and
+//!   per-[`ProtectionRole`] attribution over *all* sites, bit-for-bit
+//!   equal to brute force (the harness oracle tests pin this).
+//! * [`CertSections`] / [`SectionKey`] — a plan partitioned into
 //!   contiguous content-addressed sections for incremental
 //!   re-certification: each section's executed class histograms are keyed
 //!   by `(program digest, def-use slice digest, fault-model digest)` so a
-//!   persistent store can serve them back exactly (soundness argument in
-//!   the `incremental` module docs and DESIGN.md §14).
+//!   persistent store can serve them back exactly, under every
+//!   certifiable model (soundness argument in the `incremental` module
+//!   docs and DESIGN.md §14).
 //!
 //! [`ProtectionRole`]: sor_ir::ProtectionRole
 //!

@@ -8,10 +8,15 @@
 //! rule, a model either gets a documented analytic pruning or an
 //! exhaustive plan; never a silently-reused register argument.
 //!
-//! * **`seu-reg`** — the existing [`CertPlan`]: live read windows execute
-//!   64 single-bit flips at the representative, dead windows are provably
-//!   unACE (DESIGN.md §11). The generalized plan reproduces it verbatim
-//!   and exists only so tests can cross-check the two code paths.
+//! [`GenCertPlan`] is the one plan every certification driver, section
+//! partition and assembler takes. Its classes carry no effect lists: each
+//! is a slot window, a register tag and a prefix length into one
+//! per-plan mask table, so a plan over a long run stays as small as the
+//! register read-window partition it is built from.
+//!
+//! * **`seu-reg`** — the read-window partition of [`CertPlan`]: live read
+//!   windows execute 64 single-bit flips at the representative, dead
+//!   windows are provably unACE (DESIGN.md §11).
 //! * **`multi-bit`** — the window equivalence holds for *any* XOR mask of
 //!   a register, not just single bits: the clobber/first-read argument
 //!   never inspects which bits differ. The same windows are reused with
@@ -69,37 +74,43 @@ impl fmt::Display for ModelPlanError {
 
 impl std::error::Error for ModelPlanError {}
 
-/// One executed equivalence class of a generalized plan: every effect in
-/// `effects` is injected at slot `rep`, and the resulting histogram
-/// certifies slots `lo..=hi` (window models) or just `rep` itself
-/// (per-slot models, where `lo == hi == rep`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One executed equivalence class of a generalized plan: the first
+/// [`masks`](Self::masks) entries of the plan's mask table
+/// ([`GenCertPlan::masks`]), each injected at the representative slot
+/// `hi`, certify slots `lo..=hi` (window models) or just `hi` itself
+/// (per-slot models, where `lo == hi`). The class owns no effect list:
+/// [`GenCertPlan::faults`] derives its injections from the shared table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenClass {
     /// First slot the class certifies (inclusive).
     pub lo: u64,
-    /// Last slot the class certifies (inclusive).
+    /// Last slot the class certifies (inclusive), and the representative
+    /// slot its injections fire at: the window's first reader, or the
+    /// class's own slot.
     pub hi: u64,
-    /// The slot the representatives are injected at.
-    pub rep: u64,
-    /// The fault effects to execute at `rep`.
-    pub effects: Vec<FaultEffect>,
+    /// The flipped register of a register-window class;
+    /// [`GenClass::SLOT_TAG`] for per-slot classes, whose effect names no
+    /// register.
+    pub reg: u8,
+    /// How many leading entries of the plan's mask table the class
+    /// injects.
+    pub masks: u32,
 }
 
 impl GenClass {
+    /// The `reg` tag of per-slot classes (`transient-alu`, `pc-corrupt`):
+    /// outside [`INJECTABLE_REGS`], so it can never be mistaken for a
+    /// register-window class in a stored section.
+    pub const SLOT_TAG: u8 = u8::MAX;
+
     /// Number of slots the class certifies.
     pub fn span(&self) -> u64 {
         self.hi - self.lo + 1
     }
 
-    /// Fault sites the class accounts for (`span * effects`).
+    /// Fault sites the class accounts for (`span * masks`).
     pub fn sites(&self) -> u64 {
-        self.span() * self.effects.len() as u64
-    }
-
-    /// The executed representative injections.
-    pub fn faults(&self) -> impl Iterator<Item = GenFault> + '_ {
-        let rep = self.rep;
-        self.effects.iter().map(move |&e| GenFault::new(rep, e))
+        self.span() * u64::from(self.masks)
     }
 }
 
@@ -134,6 +145,10 @@ pub struct GenCertPlan {
     pub golden_len: u64,
     /// Fault sites per dynamic slot in this model's space.
     pub sites_per_slot: u64,
+    /// The plan's mask table: class `c` injects `masks[..c.masks]`, XORed
+    /// into `c.reg` (register models), the ALU result (`transient-alu`)
+    /// or the pc (`pc-corrupt`).
+    pub masks: Vec<u64>,
     /// Executed equivalence classes.
     pub classes: Vec<GenClass>,
     /// Analytically-unACE windows, never executed.
@@ -154,6 +169,11 @@ pub fn burst_masks() -> Vec<u64> {
     masks
 }
 
+/// The single-bit masks `1 << 0 .. 1 << bits`, in bit order.
+fn single_bits(bits: u32) -> Vec<u64> {
+    (0..bits).map(|b| 1u64 << b).collect()
+}
+
 impl GenCertPlan {
     /// Builds the plan for `model` over one golden trace of `program`.
     ///
@@ -164,11 +184,8 @@ impl GenCertPlan {
         trace: &DefUseTrace,
     ) -> Result<GenCertPlan, ModelPlanError> {
         match model {
-            FaultModel::SeuReg => {
-                let bits: Vec<u64> = (0..64).map(|b| 1u64 << b).collect();
-                Ok(Self::from_windows(model, trace, &bits))
-            }
-            FaultModel::MultiBitUpset => Ok(Self::from_windows(model, trace, &burst_masks())),
+            FaultModel::SeuReg => Ok(Self::from_windows(model, trace, single_bits(64))),
+            FaultModel::MultiBitUpset => Ok(Self::from_windows(model, trace, burst_masks())),
             FaultModel::TransientAlu => Ok(Self::build_transient_alu(program, trace)),
             FaultModel::PcCorrupt => Ok(Self::build_pc_corrupt(program, trace)),
             FaultModel::MemBit => Err(ModelPlanError::NotCertifiable(model)),
@@ -177,20 +194,19 @@ impl GenCertPlan {
 
     /// Window-reuse plan for register-mask models (`seu-reg`,
     /// `multi-bit`): the read-window equivalence classes of [`CertPlan`]
-    /// with `masks` injected per register at each live representative.
-    fn from_windows(model: FaultModel, trace: &DefUseTrace, masks: &[u64]) -> GenCertPlan {
+    /// with every mask of `masks` injected per register at each live
+    /// representative.
+    fn from_windows(model: FaultModel, trace: &DefUseTrace, masks: Vec<u64>) -> GenCertPlan {
         let plan = CertPlan::build(trace);
+        let n = masks.len() as u32;
         let classes = plan
             .classes
             .iter()
             .map(|r| GenClass {
                 lo: r.lo,
                 hi: r.hi,
-                rep: r.hi,
-                effects: masks
-                    .iter()
-                    .map(|&mask| FaultEffect::RegXor { reg: r.reg, mask })
-                    .collect(),
+                reg: r.reg,
+                masks: n,
             })
             .collect();
         let analytic = plan
@@ -199,13 +215,14 @@ impl GenCertPlan {
             .map(|r| AnalyticWindow {
                 lo: r.lo,
                 hi: r.hi,
-                per_slot: masks.len() as u64,
+                per_slot: u64::from(n),
             })
             .collect();
         GenCertPlan {
             model,
             golden_len: plan.golden_len,
-            sites_per_slot: INJECTABLE_REGS.len() as u64 * masks.len() as u64,
+            sites_per_slot: INJECTABLE_REGS.len() as u64 * u64::from(n),
+            masks,
             classes,
             analytic,
         }
@@ -259,10 +276,8 @@ impl GenCertPlan {
                     classes.push(GenClass {
                         lo: slot,
                         hi: slot,
-                        rep: slot,
-                        effects: (0..width.bits() as u64)
-                            .map(|b| FaultEffect::AluXor { mask: 1 << b })
-                            .collect(),
+                        reg: GenClass::SLOT_TAG,
+                        masks: width.bits(),
                     });
                 }
             }
@@ -271,6 +286,7 @@ impl GenCertPlan {
             model: FaultModel::TransientAlu,
             golden_len,
             sites_per_slot: 64,
+            masks: single_bits(64),
             classes,
             analytic,
         }
@@ -282,26 +298,39 @@ impl GenCertPlan {
     /// prefix each; in-image targets run to termination.
     fn build_pc_corrupt(program: &Program, trace: &DefUseTrace) -> GenCertPlan {
         let golden_len = trace.len();
-        let ctx = SampleCtx::for_program(program, golden_len);
-        let pc_bits = ctx.pc_bits() as u64;
-        let effects: Vec<FaultEffect> = (0..pc_bits)
-            .map(|b| FaultEffect::PcXor { mask: 1 << b })
-            .collect();
+        let pc_bits = SampleCtx::for_program(program, golden_len).pc_bits();
         let classes = (0..golden_len)
             .map(|slot| GenClass {
                 lo: slot,
                 hi: slot,
-                rep: slot,
-                effects: effects.clone(),
+                reg: GenClass::SLOT_TAG,
+                masks: pc_bits,
             })
             .collect();
         GenCertPlan {
             model: FaultModel::PcCorrupt,
             golden_len,
-            sites_per_slot: pc_bits,
+            sites_per_slot: u64::from(pc_bits),
+            masks: single_bits(pc_bits),
             classes,
             analytic: Vec::new(),
         }
+    }
+
+    /// The injections of `class`, in mask-table order.
+    pub fn faults<'a>(&'a self, class: &GenClass) -> impl Iterator<Item = GenFault> + 'a {
+        let (at, reg) = (class.hi, class.reg);
+        let effect: fn(u8, u64) -> FaultEffect = match self.model {
+            FaultModel::SeuReg | FaultModel::MultiBitUpset => {
+                |reg, mask| FaultEffect::RegXor { reg, mask }
+            }
+            FaultModel::TransientAlu => |_, mask| FaultEffect::AluXor { mask },
+            FaultModel::PcCorrupt => |_, mask| FaultEffect::PcXor { mask },
+            FaultModel::MemBit => unreachable!("mem-bit has no certification plan"),
+        };
+        self.masks[..class.masks as usize]
+            .iter()
+            .map(move |&mask| GenFault::new(at, effect(reg, mask)))
     }
 
     /// Total fault sites in the model's space.
@@ -321,13 +350,13 @@ impl GenCertPlan {
 
     /// Injections an exhaustive certification actually executes.
     pub fn injections(&self) -> u64 {
-        self.classes.iter().map(|c| c.effects.len() as u64).sum()
+        self.classes.iter().map(|c| u64::from(c.masks)).sum()
     }
 
     /// Assembles the exact report from the executed class histograms.
     ///
     /// `class_results[i]` must aggregate exactly one classified run per
-    /// effect of `classes[i]`; `golden_recoveries` is credited to every
+    /// mask of `classes[i]`; `golden_recoveries` is credited to every
     /// analytically-pruned site (its injection replays the golden run).
     ///
     /// # Panics
@@ -360,8 +389,8 @@ impl GenCertPlan {
         for (class, &agg) in self.classes.iter().zip(class_results) {
             assert_eq!(
                 agg.total(),
-                class.effects.len() as u64,
-                "a class executes one run per effect"
+                u64::from(class.masks),
+                "a class executes one run per mask"
             );
             for slot in class.lo..=class.hi {
                 add(slot, agg);
@@ -452,7 +481,7 @@ mod tests {
             .iter()
             .map(|class| {
                 let mut agg = OutcomeCounts::default();
-                for fault in class.faults() {
+                for fault in plan.faults(class) {
                     let (outcome, res) = replayer.run_fault_gen(fault);
                     agg.record(outcome, res.probes.vote_repairs + res.probes.trump_recovers);
                 }
@@ -469,28 +498,70 @@ mod tests {
         )
     }
 
+    /// The seu-reg plan is the register read-window partition, class for
+    /// class, and its assembled report equals one expanded by hand from
+    /// [`CertPlan`] — 64 single-bit flips per live window credited to
+    /// every slot of the window, 64 golden replays per dead slot — field
+    /// by field.
     #[test]
     fn seu_reg_gen_plan_reproduces_the_cert_plan() {
         let prog = program();
         let runner = Runner::new(&prog, &MachineConfig::default());
         let trace = DefUseTrace::record(&runner);
-        let _ = &runner;
         let legacy = CertPlan::build(&trace);
-        let gen = GenCertPlan::build(FaultModel::SeuReg, &program(), &trace).unwrap();
+        let gen = GenCertPlan::build(FaultModel::SeuReg, &prog, &trace).unwrap();
         assert_eq!(gen.classes.len(), legacy.classes.len());
         assert_eq!(gen.total_sites(), legacy.total_sites());
         assert_eq!(gen.analytic_sites(), legacy.dead_sites());
         assert_eq!(gen.live_sites(), legacy.live_sites());
         assert_eq!(gen.injections(), legacy.injections());
         for (g, l) in gen.classes.iter().zip(&legacy.classes) {
-            assert_eq!((g.lo, g.hi, g.rep), (l.lo, l.hi, l.hi));
-            assert_eq!(g.effects.len(), 64);
-            assert!(g.effects.iter().enumerate().all(|(b, e)| *e
-                == FaultEffect::RegXor {
-                    reg: l.reg,
-                    mask: 1 << b
-                }));
+            assert_eq!((g.lo, g.hi, g.reg, g.masks), (l.lo, l.hi, l.reg, 64));
+            let expected: Vec<GenFault> = (0..64)
+                .map(|bit| sor_sim::FaultSpec::new(l.hi, l.reg, bit).into())
+                .collect();
+            assert_eq!(gen.faults(g).collect::<Vec<_>>(), expected);
         }
+
+        let report = certify(&gen, &prog, &runner, &trace);
+        let golden = runner.golden().probes;
+        let mut replayer = runner.replayer();
+        let mut counts = OutcomeCounts::default();
+        let mut sites: BTreeMap<usize, OutcomeCounts> = BTreeMap::new();
+        let mut roles: BTreeMap<ProtectionRole, OutcomeCounts> = BTreeMap::new();
+        let mut add = |lo: u64, hi: u64, agg: OutcomeCounts| {
+            for slot in lo..=hi {
+                let pc = trace.check_pc(slot);
+                counts += agg;
+                *sites.entry(pc).or_default() += agg;
+                *roles.entry(prog.role_of(pc)).or_default() += agg;
+            }
+        };
+        for r in &legacy.classes {
+            let mut agg = OutcomeCounts::default();
+            for bit in 0..64 {
+                let (outcome, res) = replayer.run_fault(sor_sim::FaultSpec::new(r.hi, r.reg, bit));
+                agg.record(outcome, res.probes.vote_repairs + res.probes.trump_recovers);
+            }
+            add(r.lo, r.hi, agg);
+        }
+        let dead = OutcomeCounts {
+            unace: 64,
+            recoveries: 64 * (golden.vote_repairs + golden.trump_recovers),
+            ..OutcomeCounts::default()
+        };
+        for r in &legacy.dead {
+            add(r.lo, r.hi, dead);
+        }
+        assert_eq!(report.golden_instrs, legacy.golden_len);
+        assert_eq!(report.total_sites, legacy.total_sites());
+        assert_eq!(report.dead_sites, legacy.dead_sites());
+        assert_eq!(report.live_sites, legacy.live_sites());
+        assert_eq!(report.classes, legacy.classes.len() as u64);
+        assert_eq!(report.injections_executed, legacy.injections());
+        assert_eq!(report.counts, counts);
+        assert_eq!(report.sites, sites);
+        assert_eq!(report.roles, roles);
     }
 
     #[test]
@@ -588,9 +659,9 @@ mod tests {
             let class = &plan.classes[rng.gen_range(0, plan.classes.len() as u64) as usize];
             let i = rng.gen_range(0, masks.len() as u64) as usize;
             let at = rng.gen_range(class.lo, class.hi + 1);
-            let (rep_outcome, rep_res) =
-                replayer.run_fault_gen(GenFault::new(class.rep, class.effects[i]));
-            let (outcome, res) = replayer.run_fault_gen(GenFault::new(at, class.effects[i]));
+            let rep = plan.faults(class).nth(i).unwrap();
+            let (rep_outcome, rep_res) = replayer.run_fault_gen(rep);
+            let (outcome, res) = replayer.run_fault_gen(GenFault::new(at, rep.effect));
             assert_eq!(
                 outcome, rep_outcome,
                 "window slot diverged from representative"

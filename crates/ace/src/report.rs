@@ -1,19 +1,18 @@
 //! The certified-coverage report: exact outcome fractions over the full
-//! fault space, assembled from executed class representatives plus the
-//! analytically-pruned dead windows.
+//! fault space, assembled by [`crate::GenCertPlan::assemble`] from executed
+//! class representatives plus the analytically-pruned windows.
 
-use crate::liveness::CertPlan;
-use crate::trace::DefUseTrace;
-use sor_ir::{Program, ProtectionRole};
+use sor_ir::ProtectionRole;
 use sor_stats::OutcomeCounts;
 use std::collections::BTreeMap;
 
 /// Exact (not sampled) coverage of one (workload, technique) pair over
-/// *every* fault site of the cube `golden_len x registers x 64 bits`.
+/// *every* fault site of one fault model's space (for the default
+/// `seu-reg`, the cube `golden_len x registers x 64 bits`).
 ///
 /// `counts.total() == total_sites`: each site contributes exactly one
 /// classified outcome, either expanded from its equivalence-class
-/// representative or accounted unACE by the dead-site proof. The per-site
+/// representative or accounted unACE by an analytic proof. The per-site
 /// and per-role maps attribute every site to the static instruction (and
 /// its [`ProtectionRole`]) the injection check lands on, exactly as
 /// brute-force injection would.
@@ -25,15 +24,16 @@ pub struct CertifiedCoverage {
     pub technique: String,
     /// Golden dynamic instruction count.
     pub golden_instrs: u64,
-    /// Fault sites in the full cube.
+    /// Fault sites in the model's full fault space.
     pub total_sites: u64,
     /// Sites pruned analytically as provably unACE.
     pub dead_sites: u64,
     /// Sites covered by executed representatives.
     pub live_sites: u64,
-    /// Live read-window equivalence classes.
+    /// Executed equivalence classes.
     pub classes: u64,
-    /// Injections actually executed (`classes * 64`).
+    /// Injections actually executed (the sum of the classes' masks;
+    /// `classes * 64` under `seu-reg`).
     pub injections_executed: u64,
     /// Exact outcome histogram over all sites.
     pub counts: OutcomeCounts,
@@ -44,86 +44,12 @@ pub struct CertifiedCoverage {
 }
 
 impl CertifiedCoverage {
-    /// Assembles the report from the plan and the executed class results.
-    ///
-    /// `class_results[i]` must be the aggregated histogram of the 64
-    /// bit-injections at `plan.classes[i]`'s representative slot;
-    /// `golden_recoveries` is the golden run's own recovery-probe count
-    /// (what a run identical to golden reports), credited to every dead
-    /// site's 64 un-executed injections.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class_results` does not line up with the plan.
-    pub fn assemble(
-        workload: &str,
-        technique: &str,
-        program: &Program,
-        trace: &DefUseTrace,
-        plan: &CertPlan,
-        class_results: &[OutcomeCounts],
-        golden_recoveries: u64,
-    ) -> CertifiedCoverage {
-        assert_eq!(
-            class_results.len(),
-            plan.classes.len(),
-            "one executed histogram per live class"
-        );
-        let mut counts = OutcomeCounts::default();
-        let mut sites: BTreeMap<usize, OutcomeCounts> = BTreeMap::new();
-        let mut roles: BTreeMap<ProtectionRole, OutcomeCounts> = BTreeMap::new();
-        let mut add = |slot: u64, agg: OutcomeCounts| {
-            let pc = trace.check_pc(slot);
-            counts += agg;
-            *sites.entry(pc).or_default() += agg;
-            *roles.entry(program.role_of(pc)).or_default() += agg;
-        };
-        for (range, &agg) in plan.classes.iter().zip(class_results) {
-            assert_eq!(agg.total(), 64, "a class representative is 64 injections");
-            // Every slot of the window reaches the representative's read
-            // with identical machine state, hence an identical histogram.
-            for slot in range.lo..=range.hi {
-                add(slot, agg);
-            }
-        }
-        // A dead site's 64 injections all replay the golden run.
-        let dead_agg = OutcomeCounts {
-            unace: 64,
-            recoveries: 64 * golden_recoveries,
-            ..OutcomeCounts::default()
-        };
-        for range in &plan.dead {
-            for slot in range.lo..=range.hi {
-                add(slot, dead_agg);
-            }
-        }
-        let report = CertifiedCoverage {
-            workload: workload.to_string(),
-            technique: technique.to_string(),
-            golden_instrs: plan.golden_len,
-            total_sites: plan.total_sites(),
-            dead_sites: plan.dead_sites(),
-            live_sites: plan.live_sites(),
-            classes: plan.classes.len() as u64,
-            injections_executed: plan.injections(),
-            counts,
-            sites,
-            roles,
-        };
-        assert_eq!(
-            report.counts.total(),
-            report.total_sites,
-            "every site contributes exactly one outcome"
-        );
-        report
-    }
-
     /// How many times smaller the executed campaign is than the site cube.
     pub fn pruning_factor(&self) -> f64 {
         self.total_sites as f64 / (self.injections_executed.max(1)) as f64
     }
 
-    /// Whether *every* single-bit fault is certified benign — the claim
+    /// Whether *every* fault of the certified space is benign — the claim
     /// sampling can estimate but never prove.
     pub fn fully_unace(&self) -> bool {
         self.counts.unace == self.total_sites

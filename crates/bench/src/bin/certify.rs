@@ -1,28 +1,31 @@
 //! Exhaustive fault-space certification (extension experiment E9): for
-//! every technique, certifies the *entire* `golden x register x bit` cube
-//! of one workload via `sor-ace` dynamic-liveness pruning and writes
-//! `results/certified_<technique>.json` — exact unACE/SDC/SEGV fractions
-//! with per-protection-role attribution, no sampling and no confidence
+//! every technique, certifies the *entire* fault space of one workload
+//! under one fault model — by default the `golden x register x bit` cube
+//! of `seu-reg` — via the `sor-ace` certification plan and writes
+//! `results/certified_<technique>.json` (`certified_<model>_<technique>.json`
+//! for other models): exact unACE/SDC/SEGV fractions with
+//! per-protection-role attribution, no sampling and no confidence
 //! interval.
 //!
 //! Flags: `--samples N` workload size (default 40; the fault space is
 //! quadratic-ish in it, but only live equivalence classes are executed),
 //! `--threads N` (default all cores), `--fault-model M` (default
-//! `seu-reg`; generalized models certify monolithically and bypass the
-//! store; `mem-bit` has no exhaustive plan and is rejected with
-//! guidance), `--engine legacy|decoded|jit` (execution engine — results
-//! are bit-identical, so this only changes throughput; default
+//! `seu-reg`; every certifiable model runs the same sectioned,
+//! store-backed path; `mem-bit` has no exhaustive plan and is rejected
+//! with guidance), `--engine legacy|decoded|jit` (execution engine —
+//! results are bit-identical, so this only changes throughput; default
 //! `decoded`), `--store DIR` persistent result store directory (default
 //! `results/store`), `--no-store` to disable the store and certify
 //! monolithically, `--sections N` incremental-reuse granularity (default
 //! 8; results are bit-identical for every value).
 //! With the store enabled the run finishes by printing its
 //! `hits= misses= warnings=` counters — a re-run over an unchanged
-//! workload reports all sections as hits and executes zero injections.
+//! workload and model reports all sections as hits and executes zero
+//! injections.
 
 use sor_core::Technique;
 use sor_harness::{
-    certified_json_model, run_certified_campaign_in, run_certified_campaign_stored, technique_slug,
+    certified_json_model, result_name, run_certified_campaign_in, run_certified_campaign_stored,
     ArtifactStore, CertifyConfig, FaultModel, ResultStore,
 };
 use sor_workloads::{AdpcmDec, Workload};
@@ -39,10 +42,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let results = if sor_bench::flag("--no-store") || !model.is_default() {
-        if !model.is_default() {
-            eprintln!("certify: generalized model {model} runs monolithically (store bypassed)");
-        }
+    let results = if sor_bench::flag("--no-store") {
         None
     } else {
         let dir = sor_bench::arg_value("--store").unwrap_or_else(|| "results/store".to_string());
@@ -105,15 +105,7 @@ fn main() {
         );
 
         let json = certified_json_model(&r, model);
-        let name = if model.is_default() {
-            format!("certified_{}.json", technique_slug(technique))
-        } else {
-            format!(
-                "certified_{}_{}.json",
-                model.slug(),
-                technique_slug(technique)
-            )
-        };
+        let name = result_name("certified", model, technique);
         match sor_bench::write_results(&name, &json) {
             Ok(p) => eprintln!("wrote {}", p.display()),
             Err(e) => eprintln!("could not write {name}: {e}"),

@@ -19,7 +19,7 @@
 
 use sor_core::Technique;
 use sor_harness::{
-    residual_sdc_table, run_triaged_campaign_in, run_triaged_campaign_stored, technique_slug,
+    residual_sdc_table, result_name, run_triaged_campaign_in, run_triaged_campaign_stored,
     triage_json_model, ArtifactStore, CampaignConfig, ResultStore, TriagedCampaign,
 };
 use sor_regalloc::LowerConfig;
@@ -76,11 +76,7 @@ fn main() {
         );
 
         let json = triage_json_model(&t, &artifact.program, runs, model);
-        let name = if model.is_default() {
-            format!("triage_{}.json", technique_slug(technique))
-        } else {
-            format!("triage_{}_{}.json", model.slug(), technique_slug(technique))
-        };
+        let name = result_name("triage", model, technique);
         match sor_bench::write_results(&name, &json) {
             Ok(p) => eprintln!("wrote {}", p.display()),
             Err(e) => eprintln!("could not write {name}: {e}"),

@@ -1,29 +1,37 @@
 //! Exhaustive certified campaigns (the `sor-ace` execution driver).
 //!
-//! A certified campaign classifies *every* fault site of the cube
-//! `golden_len x injectable registers x 64 bits` — no sampling, no
-//! confidence interval. The `sor-ace` analysis prunes sites whose flip is
-//! provably clobbered before it can be read and collapses the rest into
-//! read-window equivalence classes; only one injection per bit per class
-//! is executed, riding the same checkpoint-and-replay machines and
-//! work-stealing worker pool as the sampled campaigns. The assembled
-//! [`CertifiedCoverage`] is bit-for-bit what brute-force injection of
-//! every single site would report (outcome histogram, per-site and
-//! per-role attribution) — the oracle tests below pin exactly that.
+//! A certified campaign classifies *every* fault site of one fault
+//! model's space — for the default `seu-reg`, the cube `golden_len x
+//! injectable registers x 64 bits` — with no sampling and no confidence
+//! interval. The `sor-ace` [`GenCertPlan`] prunes sites that are provably
+//! unACE and collapses the rest into equivalence classes; only each
+//! class's masks are executed, at its representative slot, riding the
+//! same checkpoint-and-replay machines and work-stealing worker pool as
+//! the sampled campaigns. The assembled [`CertifiedCoverage`] is
+//! bit-for-bit what brute-force injection of every single site would
+//! report (outcome histogram, per-site and per-role attribution) — the
+//! oracle tests below pin exactly that.
+//!
+//! Every entry point runs one core, [`certify_resumable`]: golden run →
+//! def-use trace → plan → sections → execute (or serve from a
+//! [`ResultStore`]) each section's classes → assemble. The monolithic
+//! entry points run it without a store, as one section; the incremental
+//! and resumable ones run it against a store, [`CertifyConfig::sections`]
+//! sections at a time.
 
 use crate::artifact::ArtifactStore;
 use crate::ctrl::RunCtrl;
 use crate::pool;
 use crate::store::ResultStore;
 use sor_ace::{
-    CertPlan, CertSections, CertifiedCoverage, ClassOutcome, DefUseTrace, GenCertPlan,
-    ModelPlanError, SectionOutcomes, SlotRange,
+    CertSections, CertifiedCoverage, ClassOutcome, DefUseTrace, GenCertPlan, ModelPlanError,
+    SectionOutcomes,
 };
 use sor_core::Technique;
 use sor_ir::Program;
 use sor_models::FaultModel;
 use sor_regalloc::LowerConfig;
-use sor_sim::{DecodedProg, ExecEngine, FaultSpec, GenFault, JitProg, MachineConfig};
+use sor_sim::{DecodedProg, ExecEngine, GenFault, JitProg, MachineConfig, Runner};
 use sor_stats::OutcomeCounts;
 use sor_workloads::Workload;
 use std::sync::Arc;
@@ -37,12 +45,12 @@ pub struct CertifyConfig {
     /// [`MachineConfig::checkpoint_interval`]).
     pub checkpoint_interval: u64,
     /// SPMD lane width for batched injection (see
-    /// [`sor_sim::LaneReplayer`]): each read-window equivalence class is
-    /// 64 same-slot faults, which lane groups of width 2/4/8/16 tile
+    /// [`sor_sim::LaneReplayer`]): each `seu-reg` read-window class is 64
+    /// same-slot faults, which lane groups of width 2/4/8/16 tile
     /// exactly. `1` (the default) runs scalar; results are bit-identical
     /// either way. Lane packs run the decoded lane interpreter, also
-    /// under [`ExecEngine::Jit`]; the legacy engine and non-default fault
-    /// models run scalar whatever the width.
+    /// under [`ExecEngine::Jit`]; the legacy engine and every model but
+    /// `seu-reg` run scalar whatever the width.
     pub lanes: usize,
     /// Transform configuration.
     pub transform: sor_core::TransformConfig,
@@ -53,14 +61,14 @@ pub struct CertifyConfig {
     /// tests pin this); more sections = finer partial reuse, slightly
     /// more store records.
     pub sections: usize,
-    /// Fault model to certify (see [`FaultModel`]). The default,
-    /// [`FaultModel::SeuReg`], runs the legacy exhaustive pipeline
-    /// bit-identically. Non-default models certify through
-    /// [`sor_ace::GenCertPlan`] — monolithic, scalar, store-bypassing
-    /// (the sectional store format only encodes the SEU plan shape, and a
-    /// wrong reuse would be silent). [`FaultModel::MemBit`] is not
-    /// certifiable (no per-address liveness argument) and panics with
-    /// [`ModelPlanError::NotCertifiable`]'s message; use a sampled
+    /// Fault model to certify (see [`FaultModel`]), default
+    /// [`FaultModel::SeuReg`]. Every certifiable model runs the same
+    /// path: its [`GenCertPlan`], sectioned and store-backed, each
+    /// section keyed by the model's digest so models never share stored
+    /// results. [`FaultModel::MemBit`] is not certifiable (no per-address
+    /// liveness argument): [`certify_resumable`] and
+    /// [`certify_program_with`] return [`ModelPlanError::NotCertifiable`],
+    /// and the other entry points panic with its message. Use a sampled
     /// campaign for it.
     pub fault_model: FaultModel,
     /// Execution engine for the golden run and every injection (see
@@ -87,6 +95,11 @@ impl Default for CertifyConfig {
 
 /// Transforms and lowers `workload` under `technique`, then certifies its
 /// entire fault space exactly.
+///
+/// # Panics
+///
+/// Panics with [`ModelPlanError`]'s message for a model that is not
+/// certifiable.
 pub fn run_certified_campaign(
     workload: &dyn Workload,
     technique: Technique,
@@ -104,40 +117,19 @@ pub fn run_certified_campaign_in(
     cfg: &CertifyConfig,
 ) -> CertifiedCoverage {
     let artifact = store.get(workload, technique, &cfg.transform, &LowerConfig::default());
-    if !cfg.fault_model.is_default() {
-        return certify_program_model(
-            &artifact.program,
-            Some(Arc::clone(&artifact.decoded)),
-            artifact.jit_for(cfg.engine),
-            workload.name(),
-            &technique.to_string(),
-            cfg.fault_model,
-            cfg.threads,
-            cfg.checkpoint_interval,
-            cfg.engine,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-    }
     certify_program_with(
         &artifact.program,
         Some(Arc::clone(&artifact.decoded)),
         artifact.jit_for(cfg.engine),
         workload.name(),
         &technique.to_string(),
-        cfg.threads,
-        cfg.checkpoint_interval,
-        cfg.lanes,
-        cfg.engine,
+        cfg,
     )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Certifies one lowered program's full fault space: records the def-use
-/// trace, builds the pruning plan, executes the surviving class
-/// representatives across a work-stealing worker pool, and assembles the
-/// exact coverage report.
-///
-/// Results are independent of `threads`: workers fill a per-class result
-/// slot, and assembly walks classes in plan order.
+/// Certifies one lowered program's full `seu-reg` fault space on the
+/// default engine: see [`certify_program_with`].
 pub fn certify_program(
     program: &Program,
     workload: &str,
@@ -145,154 +137,49 @@ pub fn certify_program(
     threads: usize,
     checkpoint_interval: u64,
 ) -> CertifiedCoverage {
-    certify_program_with(
-        program,
-        None,
-        None,
-        workload,
-        technique,
+    let cfg = CertifyConfig {
         threads,
         checkpoint_interval,
-        1,
-        ExecEngine::default(),
-    )
+        ..CertifyConfig::default()
+    };
+    certify_program_with(program, None, None, workload, technique, &cfg)
+        .expect("seu-reg is certifiable")
 }
 
-/// [`certify_program`] reusing already-prepared images — the predecoded
-/// program and (under [`ExecEngine::Jit`]) the compiled native image,
-/// both memoized per lowered program by the artifact store — instead of
-/// translating again.
-#[allow(clippy::too_many_arguments)]
+/// Certifies one lowered program's full fault space under
+/// `cfg.fault_model`: records the def-use trace, builds the model's
+/// [`GenCertPlan`], executes every class across a work-stealing worker
+/// pool, and assembles the exact coverage report. `decoded` and `jit`
+/// reuse already-prepared images (memoized per lowered program by the
+/// artifact store) instead of translating again.
+///
+/// Results are independent of threads, lanes and engine: workers fill a
+/// per-class result slot, and assembly walks classes in plan order.
+/// `Err(ModelPlanError::NotCertifiable)` for models with no sound plan
+/// ([`FaultModel::MemBit`]).
 pub fn certify_program_with(
     program: &Program,
     decoded: Option<Arc<DecodedProg>>,
     jit: Option<Arc<JitProg>>,
     workload: &str,
     technique: &str,
-    threads: usize,
-    checkpoint_interval: u64,
-    lanes: usize,
-    engine: ExecEngine,
-) -> CertifiedCoverage {
-    let runner = pool::build_runner(program, decoded, jit, checkpoint_interval, engine);
-    let trace = DefUseTrace::record(&runner);
-    let plan = CertPlan::build(&trace);
-    let golden_recoveries =
-        runner.golden().probes.vote_repairs + runner.golden().probes.trump_recovers;
-
-    // The plan flattens to 64 same-slot faults per read-window class; the
-    // shared pool work-steals them (scalar) or their lane groups, which
-    // tile classes exactly (64 % lane width == 0). Folding by class index
-    // keeps per-class slots exact, so the report is identical for any
-    // thread count or lane width — windows ending late in the run replay
-    // long suffixes, so classes, like sampled faults, have wildly
-    // variable costs and still want stealing.
-    let faults: Vec<GenFault> = plan
-        .classes
-        .iter()
-        .copied()
-        .flat_map(class_faults)
-        .collect();
-    let mut class_results: Vec<OutcomeCounts> = pool::inject_faults(
-        &runner,
-        &faults,
-        threads,
-        lanes,
-        |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
-            let class = i / 64;
-            if acc.len() <= class {
-                acc.resize(class + 1, OutcomeCounts::default());
-            }
-            acc[class].record(
-                rec.outcome,
-                res.probes.vote_repairs + res.probes.trump_recovers,
-            );
-        },
-    );
-    class_results.resize(plan.classes.len(), OutcomeCounts::default());
-
-    CertifiedCoverage::assemble(
-        workload,
-        technique,
-        program,
-        &trace,
-        &plan,
-        &class_results,
-        golden_recoveries,
-    )
-}
-
-/// The 64 single-bit register SEUs of one read-window class, injected at
-/// its representative slot — the flattened fault list certification runs.
-fn class_faults(class: SlotRange) -> impl Iterator<Item = GenFault> {
-    (0..64).map(move |bit| FaultSpec::new(class.hi, class.reg, bit).into())
-}
-
-/// Certifies one lowered program's full fault space under a non-default
-/// [`FaultModel`], exactly: records the def-use trace, builds the
-/// model-specific [`GenCertPlan`] (per-model unACE arguments — see
-/// `sor_ace::models` and DESIGN.md §16), executes every class effect
-/// across the work-stealing pool, and assembles the exact coverage
-/// report. `Err(ModelPlanError::NotCertifiable)` for models with no sound
-/// pruning argument ([`FaultModel::MemBit`]).
-///
-/// The default model is accepted too (its plan reproduces the SEU
-/// [`CertPlan`] exactly), but [`certify_program_with`] — which also
-/// batches lanes and backs the sectional store — is the path campaigns
-/// take for it.
-#[allow(clippy::too_many_arguments)]
-pub fn certify_program_model(
-    program: &Program,
-    decoded: Option<Arc<DecodedProg>>,
-    jit: Option<Arc<JitProg>>,
-    workload: &str,
-    technique: &str,
-    model: FaultModel,
-    threads: usize,
-    checkpoint_interval: u64,
-    engine: ExecEngine,
+    cfg: &CertifyConfig,
 ) -> Result<CertifiedCoverage, ModelPlanError> {
-    let runner = pool::build_runner(program, decoded, jit, checkpoint_interval, engine);
-    let trace = DefUseTrace::record(&runner);
-    let plan = GenCertPlan::build(model, program, &trace)?;
-    let golden_recoveries =
-        runner.golden().probes.vote_repairs + runner.golden().probes.trump_recovers;
-
-    // Classes carry model-specific effect lists of varying length, so the
-    // flattened fault list carries a parallel class-index map instead of
-    // the SEU path's fixed /64 stride.
-    let mut faults: Vec<GenFault> = Vec::new();
-    let mut class_of: Vec<usize> = Vec::new();
-    for (ci, class) in plan.classes.iter().enumerate() {
-        faults.extend(class.faults());
-        class_of.extend(std::iter::repeat_n(ci, class.effects.len()));
-    }
-    let mut class_results: Vec<OutcomeCounts> = pool::inject_faults(
-        &runner,
-        &faults,
-        threads,
-        1,
-        |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
-            let class = class_of[i];
-            if acc.len() <= class {
-                acc.resize(class + 1, OutcomeCounts::default());
-            }
-            acc[class].record(
-                rec.outcome,
-                res.probes.vote_repairs + res.probes.trump_recovers,
-            );
-        },
-    );
-    class_results.resize(plan.classes.len(), OutcomeCounts::default());
-
-    Ok(plan.assemble(
+    let status = certify_resumable(
+        None,
+        program,
+        decoded,
+        jit,
         workload,
         technique,
-        program,
-        &trace,
-        &class_results,
-        golden_recoveries,
-    ))
+        cfg,
+        None,
+        &mut |_| {},
+    )?;
+    match status {
+        CertifyStatus::Done(inc) => Ok(inc.coverage),
+        CertifyStatus::Paused(_) => unreachable!("no control, so the driver never pauses"),
+    }
 }
 
 /// An incrementally assembled certification: the exact coverage report
@@ -300,7 +187,7 @@ pub fn certify_program_model(
 #[derive(Debug, Clone)]
 pub struct IncrementalCertification {
     /// The assembled report — bit-identical to what the monolithic
-    /// [`certify_program`] returns for the same program.
+    /// [`certify_program_with`] returns for the same program.
     pub coverage: CertifiedCoverage,
     /// Sections the plan was split into.
     pub sections_total: usize,
@@ -314,6 +201,11 @@ pub struct IncrementalCertification {
 /// [`run_certified_campaign_in`] through the incremental path: program
 /// preparation served from `artifacts`, executed section results served
 /// from (and inserted into) `results`.
+///
+/// # Panics
+///
+/// Panics with [`ModelPlanError`]'s message for a model that is not
+/// certifiable.
 pub fn run_certified_campaign_stored(
     artifacts: &ArtifactStore,
     results: &ResultStore,
@@ -336,18 +228,23 @@ pub fn run_certified_campaign_stored(
 /// Certifies a program's full fault space, reusing previously executed
 /// sections from `results` and executing only the rest.
 ///
-/// The golden run, def-use trace and pruning plan are always recomputed
-/// fresh — they are cheap (one fault-free pass) and they are what the
-/// cached results are validated *against*: the plan is partitioned into
+/// The golden run, def-use trace and plan are always recomputed fresh —
+/// they are cheap (one fault-free pass) and they are what the cached
+/// results are validated *against*: the plan is partitioned into
 /// [`CertSections`] whose keys digest the program, each section's def-use
 /// slice and the fault model, and only a section whose key matches a
-/// stored entry (and whose stored class tags line up with the fresh plan)
-/// skips execution. The assembled [`CertifiedCoverage`] is bit-identical
-/// to the monolithic [`certify_program`] whatever mix of cached and fresh
+/// stored entry (and whose stored classes pass
+/// [`sor_ace::CertSection::matches`] against the fresh plan) skips
+/// execution. The assembled [`CertifiedCoverage`] is bit-identical to the
+/// monolithic [`certify_program_with`] whatever mix of cached and fresh
 /// sections it was composed from — labels (`workload`, `technique`) are
 /// applied at assembly and never cached, so renames cannot poison the
 /// store.
-#[allow(clippy::too_many_arguments)]
+///
+/// # Panics
+///
+/// Panics with [`ModelPlanError`]'s message for a model that is not
+/// certifiable; [`certify_resumable`] returns it instead.
 pub fn certify_incremental(
     results: &ResultStore,
     program: &Program,
@@ -357,8 +254,8 @@ pub fn certify_incremental(
     technique: &str,
     cfg: &CertifyConfig,
 ) -> IncrementalCertification {
-    match certify_resumable(
-        results,
+    let status = certify_resumable(
+        Some(results),
         program,
         decoded,
         jit,
@@ -367,9 +264,11 @@ pub fn certify_incremental(
         cfg,
         None,
         &mut |_| {},
-    ) {
-        CertifyStatus::Done(inc) => inc,
-        CertifyStatus::Paused(_) => unreachable!("no control, so the driver never pauses"),
+    );
+    match status {
+        Ok(CertifyStatus::Done(inc)) => inc,
+        Ok(CertifyStatus::Paused(_)) => unreachable!("no control, so the driver never pauses"),
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -409,19 +308,32 @@ pub enum CertifyStatus {
     Paused(CertifyProgress),
 }
 
-/// [`certify_incremental`], pausable at section boundaries.
+/// [`certify_incremental`], pausable at section boundaries: the one
+/// certification core every entry point runs.
 ///
-/// Missing sections execute one at a time, each persisted to `results`
-/// the moment it completes, with `on_progress` fired after every resolved
-/// section. When `ctrl` requests a stop the driver returns
-/// [`CertifyStatus::Paused`] before starting the next section — nothing
-/// in flight is lost, and calling again with the same store picks up
-/// exactly where it left off (the finished sections come back as hits).
-/// The composed report is bit-identical to [`certify_program`] no matter
-/// how many pause/resume cycles it took.
+/// With a store, the plan splits into [`CertifyConfig::sections`]
+/// sections. Each is probed in `results`: a cached entry must pass
+/// [`sor_ace::CertSection::matches`] against the fresh plan, or it is
+/// discarded as a collision, drift or forgery casualty and recomputed.
+/// Missing sections execute one at a time, each persisted the moment it
+/// completes, with `on_progress` fired after every resolved section. When
+/// `ctrl` requests a stop the driver returns [`CertifyStatus::Paused`]
+/// before starting the next section — nothing in flight is lost, and
+/// calling again with the same store picks up exactly where it left off
+/// (the finished sections come back as hits).
+///
+/// With `results = None` (the monolithic path) the whole plan is one
+/// unstored section, executed as one pool run so work stealing balances
+/// across every class — windows ending late in the run replay long
+/// suffixes, so classes, like sampled faults, have wildly variable costs.
+///
+/// The composed report is bit-identical whatever the store held and
+/// however many pause/resume cycles it took.
+/// `Err(ModelPlanError::NotCertifiable)` for models with no sound plan,
+/// before any injection runs.
 #[allow(clippy::too_many_arguments)]
 pub fn certify_resumable(
-    results: &ResultStore,
+    results: Option<&ResultStore>,
     program: &Program,
     decoded: Option<Arc<DecodedProg>>,
     jit: Option<Arc<JitProg>>,
@@ -430,160 +342,139 @@ pub fn certify_resumable(
     cfg: &CertifyConfig,
     ctrl: Option<&RunCtrl>,
     on_progress: &mut dyn FnMut(&CertifyProgress),
-) -> CertifyStatus {
-    if !cfg.fault_model.is_default() {
-        // Non-default models certify monolithically and never touch the
-        // store: the sectional record format encodes the SEU plan's class
-        // shape only, and serving a generalized plan from it would be a
-        // silent mismatch. One all-or-nothing "section", no pause grain.
-        let coverage = certify_program_model(
-            program,
-            decoded,
-            jit,
-            workload,
-            technique,
-            cfg.fault_model,
-            cfg.threads,
-            cfg.checkpoint_interval,
-            cfg.engine,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        let progress = CertifyProgress {
-            sections_done: 1,
-            sections_total: 1,
-            sections_hit: 0,
-            fresh_injections: coverage.injections_executed,
-            injections_resolved: coverage.injections_executed,
-            counts: coverage.counts,
-        };
-        on_progress(&progress);
-        return CertifyStatus::Done(IncrementalCertification {
-            coverage,
-            sections_total: 1,
-            sections_hit: 0,
-            fresh_injections: progress.fresh_injections,
-        });
-    }
+) -> Result<CertifyStatus, ModelPlanError> {
     let runner = pool::build_runner(program, decoded, jit, cfg.checkpoint_interval, cfg.engine);
     let trace = DefUseTrace::record(&runner);
-    let plan = CertPlan::build(&trace);
+    let plan = GenCertPlan::build(cfg.fault_model, program, &trace)?;
     let golden_recoveries =
         runner.golden().probes.vote_repairs + runner.golden().probes.trump_recovers;
-    let sections = CertSections::partition(program, &trace, &plan, cfg.sections);
+    let nsections = if results.is_some() { cfg.sections } else { 1 };
+    let sections = CertSections::partition(program, &trace, &plan, nsections);
 
-    // Probe the store section by section. A cached entry must mirror the
-    // freshly built plan exactly — same class count, same (register,
-    // representative) tags — or it is discarded as a collision/drift
-    // casualty and recomputed.
     let mut per_section: Vec<Option<Arc<SectionOutcomes>>> = sections
         .sections
         .iter()
-        .map(|sec| {
-            results.get_cert(&sec.key, |cached| {
-                cached.classes.len() == sec.classes.len()
-                    && sec.classes.iter().zip(&cached.classes).all(|(&idx, out)| {
-                        let class = &plan.classes[idx];
-                        class.reg == out.reg && class.hi == out.rep
-                    })
-            })
-        })
+        .map(|sec| results?.get_cert(&sec.key, |cached| sec.matches(&plan, cached)))
         .collect();
 
     let mut progress = CertifyProgress {
         sections_total: sections.sections.len(),
         ..CertifyProgress::default()
     };
-    for resolved in per_section.iter().flatten() {
-        progress.sections_done += 1;
-        progress.sections_hit += 1;
-        absorb_section(&mut progress, resolved);
+    for (sec, resolved) in sections.sections.iter().zip(&per_section) {
+        if let Some(resolved) = resolved {
+            progress.sections_done += 1;
+            progress.sections_hit += 1;
+            absorb_section(&mut progress, &plan, &sec.classes, resolved);
+        }
     }
     on_progress(&progress);
 
-    // Execute the missing sections one at a time, persisting each as it
-    // completes — the pause grain. (The monolithic path used to flatten
-    // all missing sections into one fault list for marginally better
-    // steal balance; per-section execution keeps every result identical
-    // while making "stop after the section in flight" a well-defined
-    // point that loses no work.)
-    for (si, slot) in per_section.iter_mut().enumerate() {
+    for (sec, slot) in sections.sections.iter().zip(per_section.iter_mut()) {
         if slot.is_some() {
             continue;
         }
         if ctrl.is_some_and(|c| c.stop_requested()) {
-            return CertifyStatus::Paused(progress);
+            return Ok(CertifyStatus::Paused(progress));
         }
-        let sec = &sections.sections[si];
-        let faults: Vec<GenFault> = sec
-            .classes
-            .iter()
-            .flat_map(|&idx| class_faults(plan.classes[idx]))
-            .collect();
-        progress.fresh_injections += faults.len() as u64;
-        let mut fresh: Vec<OutcomeCounts> = pool::inject_faults(
-            &runner,
-            &faults,
-            cfg.threads,
-            cfg.lanes,
-            |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
-                let class = i / 64;
-                if acc.len() <= class {
-                    acc.resize(class + 1, OutcomeCounts::default());
-                }
-                acc[class].record(
-                    rec.outcome,
-                    res.probes.vote_repairs + res.probes.trump_recovers,
-                );
-            },
-        );
-        fresh.resize(sec.classes.len(), OutcomeCounts::default());
-        let classes: Vec<ClassOutcome> = sec
-            .classes
-            .iter()
-            .zip(fresh)
-            .map(|(&idx, counts)| ClassOutcome {
-                reg: plan.classes[idx].reg,
-                rep: plan.classes[idx].hi,
-                counts,
-            })
-            .collect();
-        let stored = results.put_cert(sec.key, SectionOutcomes { classes });
+        let fresh = execute_classes(&runner, &plan, &sec.classes, cfg);
+        let stored = match results {
+            Some(rs) => rs.put_cert(sec.key, fresh),
+            None => Arc::new(fresh),
+        };
         progress.sections_done += 1;
-        absorb_section(&mut progress, &stored);
+        progress.fresh_injections += absorb_section(&mut progress, &plan, &sec.classes, &stored);
         *slot = Some(stored);
         on_progress(&progress);
     }
 
-    let resolved: Vec<SectionOutcomes> = per_section
+    let resolved: Vec<Arc<SectionOutcomes>> = per_section
         .into_iter()
-        .map(|s| (*s.expect("every section cached or freshly executed")).clone())
+        .map(|s| s.expect("every section cached or freshly executed"))
         .collect();
     let class_results = sections
         .scatter(&plan, &resolved)
         .expect("validated sections always scatter");
-    let coverage = CertifiedCoverage::assemble(
+    let coverage = plan.assemble(
         workload,
         technique,
         program,
         &trace,
-        &plan,
         &class_results,
         golden_recoveries,
     );
-    CertifyStatus::Done(IncrementalCertification {
+    Ok(CertifyStatus::Done(IncrementalCertification {
         coverage,
         sections_total: sections.sections.len(),
         sections_hit: progress.sections_hit,
         fresh_injections: progress.fresh_injections,
-    })
+    }))
 }
 
-/// Folds one resolved section's class histograms into a progress snapshot.
-fn absorb_section(progress: &mut CertifyProgress, section: &SectionOutcomes) {
-    for class in &section.classes {
-        progress.counts += class.counts;
-        progress.injections_resolved += 64;
+/// Executes the plan classes `idxs` as one work-stealing pool run and
+/// returns their tagged histograms, in `idxs` order.
+///
+/// The classes flatten into one fault list with an owner map from fault
+/// to class, so classes of any mask count share the pool — scalar, or
+/// in lane groups when every fault is a register SEU. Folding by owner
+/// keeps per-class slots exact, so results are identical for any thread
+/// count or lane width.
+fn execute_classes(
+    runner: &Runner<'_>,
+    plan: &GenCertPlan,
+    idxs: &[usize],
+    cfg: &CertifyConfig,
+) -> SectionOutcomes {
+    let mut faults: Vec<GenFault> = Vec::new();
+    let mut owner: Vec<usize> = Vec::new();
+    for (k, &idx) in idxs.iter().enumerate() {
+        faults.extend(plan.faults(&plan.classes[idx]));
+        owner.resize(faults.len(), k);
     }
+    let mut counts: Vec<OutcomeCounts> = pool::inject_faults(
+        runner,
+        &faults,
+        cfg.threads,
+        cfg.lanes,
+        |acc: &mut Vec<OutcomeCounts>, i, rec, res| {
+            let k = owner[i];
+            if acc.len() <= k {
+                acc.resize(k + 1, OutcomeCounts::default());
+            }
+            acc[k].record(
+                rec.outcome,
+                res.probes.vote_repairs + res.probes.trump_recovers,
+            );
+        },
+    );
+    counts.resize(idxs.len(), OutcomeCounts::default());
+    let classes = idxs
+        .iter()
+        .zip(counts)
+        .map(|(&idx, counts)| ClassOutcome {
+            reg: plan.classes[idx].reg,
+            rep: plan.classes[idx].hi,
+            counts,
+        })
+        .collect();
+    SectionOutcomes { classes }
+}
+
+/// Folds one resolved section's class histograms into a progress
+/// snapshot; returns the injections the section represents.
+fn absorb_section(
+    progress: &mut CertifyProgress,
+    plan: &GenCertPlan,
+    idxs: &[usize],
+    section: &SectionOutcomes,
+) -> u64 {
+    let mut injections = 0;
+    for (&idx, class) in idxs.iter().zip(&section.classes) {
+        progress.counts += class.counts;
+        injections += u64::from(plan.classes[idx].masks);
+    }
+    progress.injections_resolved += injections;
+    injections
 }
 
 #[cfg(test)]
@@ -647,7 +538,8 @@ mod tests {
         for at in 0..golden_len {
             for &reg in &INJECTABLE_REGS {
                 for bit in 0..64 {
-                    let (rec, res) = replayer.run_fault_record(FaultSpec::new(at, reg, bit).into());
+                    let (rec, res) =
+                        replayer.run_fault_record(sor_sim::FaultSpec::new(at, reg, bit).into());
                     let recov = res.probes.vote_repairs + res.probes.trump_recovers;
                     counts.record(rec.outcome, recov);
                     let pc = rec.static_inst.expect("in-range faults always fire");
@@ -715,18 +607,15 @@ mod tests {
     fn pc_corruption_certification_equals_brute_force() {
         for technique in [Technique::SwiftR, Technique::Cfcss] {
             let program = mem_program(technique);
-            let certified = certify_program_model(
-                &program,
-                None,
-                None,
-                "memsel",
-                &technique.to_string(),
-                FaultModel::PcCorrupt,
-                2,
-                3,
-                ExecEngine::default(),
-            )
-            .unwrap();
+            let cfg = CertifyConfig {
+                threads: 2,
+                checkpoint_interval: 3,
+                fault_model: FaultModel::PcCorrupt,
+                ..CertifyConfig::default()
+            };
+            let certified =
+                certify_program_with(&program, None, None, "memsel", &technique.to_string(), &cfg)
+                    .unwrap();
             let runner = Runner::new(&program, &MachineConfig::default());
             let golden_len = runner.golden().dyn_instrs;
             let pc_bits = sor_models::SampleCtx::for_program(&program, golden_len).pc_bits();
@@ -790,18 +679,12 @@ mod tests {
     #[test]
     fn mem_bit_certification_is_rejected_with_guidance() {
         let program = chain_program(Technique::SwiftR);
-        let err = certify_program_model(
-            &program,
-            None,
-            None,
-            "chain",
-            "SWIFT-R",
-            FaultModel::MemBit,
-            1,
-            0,
-            ExecEngine::default(),
-        )
-        .unwrap_err();
+        let cfg = CertifyConfig {
+            threads: 1,
+            fault_model: FaultModel::MemBit,
+            ..CertifyConfig::default()
+        };
+        let err = certify_program_with(&program, None, None, "chain", "SWIFT-R", &cfg).unwrap_err();
         assert!(err.to_string().contains("sampled campaign"), "{err}");
     }
 

@@ -59,17 +59,17 @@ mod triage;
 pub use artifact::{Artifact, ArtifactKey, ArtifactStore};
 pub use campaign::{run_campaign, run_campaign_in, CampaignConfig, CampaignResult};
 pub use certify::{
-    certify_incremental, certify_program, certify_program_model, certify_program_with,
-    certify_resumable, run_certified_campaign, run_certified_campaign_in,
-    run_certified_campaign_stored, CertifyConfig, CertifyProgress, CertifyStatus,
-    IncrementalCertification,
+    certify_incremental, certify_program, certify_program_with, certify_resumable,
+    run_certified_campaign, run_certified_campaign_in, run_certified_campaign_stored,
+    CertifyConfig, CertifyProgress, CertifyStatus, IncrementalCertification,
 };
 pub use ctrl::RunCtrl;
 pub use figures::{FigureEight, FigureNine};
 pub use perf::{measure_perf, measure_perf_in, PerfConfig, PerfResult};
 pub use pool::{resolve_lanes, resolve_threads};
 pub use render::{
-    certified_json, certified_json_model, technique_slug, triage_json, triage_json_model,
+    certified_json, certified_json_model, result_name, technique_slug, triage_json,
+    triage_json_model,
 };
 pub use report::{headline, Headline};
 pub use sor_models::{FaultModel, SampleCtx};

@@ -36,6 +36,19 @@ pub fn technique_slug(technique: impl Display) -> String {
         .collect()
 }
 
+/// The results-file name of one technique's `kind` document (`certified`,
+/// `triage`): `<kind>_<technique>.json` under the default model and
+/// `<kind>_<model>_<technique>.json` otherwise, so a generalized-model
+/// result never clobbers a default-model one. The batch bins and the
+/// server name their artifacts through this one function.
+pub fn result_name(kind: &str, model: FaultModel, technique: impl Display) -> String {
+    if model.is_default() {
+        format!("{kind}_{}.json", technique_slug(technique))
+    } else {
+        format!("{kind}_{}_{}.json", model.slug(), technique_slug(technique))
+    }
+}
+
 /// Renders a certified-coverage report as the `certified_<slug>.json`
 /// document the `certify` bin writes (default fault model).
 pub fn certified_json(r: &CertifiedCoverage) -> String {

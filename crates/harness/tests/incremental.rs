@@ -12,10 +12,11 @@
 
 use sor_core::Technique;
 use sor_harness::{
-    certify_incremental, certify_program, run_triaged_campaign_in, run_triaged_campaign_stored,
-    ArtifactStore, CampaignConfig, CertifyConfig, ResultStore,
+    certify_incremental, certify_program, certify_program_with, run_triaged_campaign_in,
+    run_triaged_campaign_stored, ArtifactStore, CampaignConfig, CertifyConfig, FaultModel,
+    ResultStore,
 };
-use sor_ir::{MemWidth, ModuleBuilder, Operand, Program, Width};
+use sor_ir::{Fnv1a, MemWidth, ModuleBuilder, Operand, Program, Width};
 use sor_regalloc::{lower, LowerConfig};
 use sor_workloads::AdpcmDec;
 use std::path::PathBuf;
@@ -75,44 +76,41 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Cold and warm incremental certification both equal the monolithic
-/// report bit-for-bit, on 2 workloads x 3 techniques; the warm pass
-/// executes zero injections.
+/// report bit-for-bit, on 2 workloads x 3 techniques under `seu-reg` and
+/// under the per-slot models `pc-corrupt` and `transient-alu`; the warm
+/// pass executes zero injections.
 #[test]
 fn incremental_equals_monolithic_cold_and_warm() {
-    for technique in TECHNIQUES {
-        for (name, program) in [
-            ("chain", chain_program(technique, 11)),
-            ("memsel", mem_program(technique)),
-        ] {
-            let label = format!("{name}/{technique}");
-            let reference = certify_program(&program, name, &technique.to_string(), 2, 3);
-            let store = ResultStore::in_memory();
-            let cold = certify_incremental(
-                &store,
-                &program,
-                None,
-                None,
-                name,
-                &technique.to_string(),
-                &cfg(),
-            );
-            assert_eq!(cold.coverage, reference, "{label}: cold diverged");
-            assert_eq!(cold.sections_hit, 0, "{label}: cold store served hits");
-            let warm = certify_incremental(
-                &store,
-                &program,
-                None,
-                None,
-                name,
-                &technique.to_string(),
-                &cfg(),
-            );
-            assert_eq!(warm.coverage, reference, "{label}: warm diverged");
-            assert_eq!(warm.fresh_injections, 0, "{label}: warm re-injected");
-            assert_eq!(
-                warm.sections_hit, warm.sections_total,
-                "{label}: warm missed sections"
-            );
+    for model in [
+        FaultModel::SeuReg,
+        FaultModel::PcCorrupt,
+        FaultModel::TransientAlu,
+    ] {
+        let cfg = CertifyConfig {
+            fault_model: model,
+            ..cfg()
+        };
+        for technique in TECHNIQUES {
+            for (name, program) in [
+                ("chain", chain_program(technique, 11)),
+                ("memsel", mem_program(technique)),
+            ] {
+                let label = format!("{name}/{technique}/{model}");
+                let tech = technique.to_string();
+                let reference =
+                    certify_program_with(&program, None, None, name, &tech, &cfg).unwrap();
+                let store = ResultStore::in_memory();
+                let cold = certify_incremental(&store, &program, None, None, name, &tech, &cfg);
+                assert_eq!(cold.coverage, reference, "{label}: cold diverged");
+                assert_eq!(cold.sections_hit, 0, "{label}: cold store served hits");
+                let warm = certify_incremental(&store, &program, None, None, name, &tech, &cfg);
+                assert_eq!(warm.coverage, reference, "{label}: warm diverged");
+                assert_eq!(warm.fresh_injections, 0, "{label}: warm re-injected");
+                assert_eq!(
+                    warm.sections_hit, warm.sections_total,
+                    "{label}: warm missed sections"
+                );
+            }
         }
     }
 }
@@ -218,6 +216,57 @@ fn damaged_disk_store_recovers_with_identical_results() {
         assert_eq!(r.coverage, reference);
         assert_eq!(r.fresh_injections, 0);
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A forged or damaged record — checksummed and well-formed, but with a
+/// class histogram that does not sum to the class's injection count — is
+/// outside input: it must degrade to a warned recompute of that section,
+/// never reach assembly.
+#[test]
+fn forged_record_histogram_is_recomputed_not_served() {
+    let program = mem_program(Technique::SwiftR);
+    let reference = certify_program(&program, "memsel", "SWIFT-R", 2, 3);
+    let dir = temp_dir("forged");
+    {
+        let store = ResultStore::open(&dir);
+        certify_incremental(&store, &program, None, None, "memsel", "SWIFT-R", &cfg());
+    }
+    // Record layout: header (magic + version, 12 bytes), then frames of
+    // [payload len u32][FNV-1a checksum u64][payload]; a certified
+    // payload is [kind u8 = 1][key 3 x u64][class count u32] followed by
+    // [reg u8][rep u64][unace u64, ...] per class.
+    let path = dir.join("sections.bin");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mut off = 12;
+    loop {
+        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+        let payload = off + 12..off + 12 + len;
+        let classes = u32::from_le_bytes(bytes[off + 12 + 25..off + 12 + 29].try_into().unwrap());
+        if bytes[off + 12] == 1 && classes > 0 {
+            let unace = off + 12 + 29 + 9;
+            let v = u64::from_le_bytes(bytes[unace..unace + 8].try_into().unwrap());
+            bytes[unace..unace + 8].copy_from_slice(&(v + 1).to_le_bytes());
+            let mut h = Fnv1a::new();
+            h.bytes(&bytes[payload]);
+            bytes[off + 4..off + 12].copy_from_slice(&h.finish64().to_le_bytes());
+            break;
+        }
+        off = payload.end;
+    }
+    std::fs::write(&path, &bytes).unwrap();
+
+    let store = ResultStore::open(&dir);
+    assert_eq!(store.warnings(), 0, "the forged record is well-formed");
+    let r = certify_incremental(&store, &program, None, None, "memsel", "SWIFT-R", &cfg());
+    assert_eq!(r.coverage, reference, "forged record changed the report");
+    assert_eq!(
+        r.sections_hit,
+        r.sections_total - 1,
+        "only the forged section misses"
+    );
+    assert!(r.fresh_injections > 0, "the forged section recomputes");
+    assert_eq!(store.warnings(), 1, "the rejection is warned");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

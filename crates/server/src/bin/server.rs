@@ -4,7 +4,9 @@
 //! Flags: `--addr HOST:PORT` bind address (default `127.0.0.1:7878`;
 //! use port `0` for an ephemeral port), `--dir DIR` state directory for
 //! the job registry, result store and artifacts (default
-//! `results/server`), `--workers N` job worker threads (default 2).
+//! `results/server`), `--workers N` job worker threads (default 2; a
+//! value that does not parse exits with status 2 naming the flag and the
+//! value).
 //!
 //! Prints exactly one `sor-server listening on ADDR` line to stdout once
 //! the listener is bound (scripts and tests parse it), then serves until
@@ -26,9 +28,13 @@ fn main() {
         dir: arg_value("--dir")
             .unwrap_or_else(|| "results/server".to_string())
             .into(),
-        workers: arg_value("--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2),
+        workers: match arg_value("--workers") {
+            None => 2,
+            Some(v) => v.parse().unwrap_or_else(|e| {
+                eprintln!("sor-server: invalid --workers {v:?}: {e}");
+                std::process::exit(2);
+            }),
+        },
     };
     let dir = cfg.dir.clone();
     let handle = match Server::spawn(cfg) {

@@ -13,9 +13,9 @@ use crate::jobs::{JobKind, JobSpec, JobState, Progress};
 use crate::server::ServerState;
 use sor_core::Technique;
 use sor_harness::{
-    certified_json_model, certify_resumable, run_campaign_in, run_triaged_campaign_resumable,
-    technique_slug, triage_json_model, CampaignConfig, CampaignResult, CertifyConfig,
-    CertifyStatus, FaultModel, FigureEight, RunCtrl, TriageStatus,
+    certified_json_model, certify_resumable, result_name, run_campaign_in,
+    run_triaged_campaign_resumable, triage_json_model, CampaignConfig, CampaignResult,
+    CertifyConfig, CertifyStatus, FigureEight, RunCtrl, TriageStatus,
 };
 use sor_regalloc::LowerConfig;
 use sor_workloads::{all_workloads, AdpcmDec, Workload};
@@ -168,7 +168,7 @@ fn exec_certify(
         &LowerConfig::default(),
     );
     let status = certify_resumable(
-        &state.results,
+        Some(&state.results),
         &artifact.program,
         Some(Arc::clone(&artifact.decoded)),
         artifact.jit_for(cfg.engine),
@@ -191,27 +191,15 @@ fn exec_certify(
                 },
             )
         },
-    );
+    )
+    // A model with no certification plan (mem-bit) is refused verbatim.
+    .map_err(|e| e.to_string())?;
     match status {
         CertifyStatus::Done(inc) => Ok(Outcome::Done {
-            name: format!(
-                "certified_{}{}.json",
-                model_prefix(spec.fault_model),
-                technique_slug(spec.technique)
-            ),
+            name: result_name("certified", spec.fault_model, spec.technique),
             bytes: certified_json_model(&inc.coverage, spec.fault_model),
         }),
         CertifyStatus::Paused(_) => Ok(Outcome::Paused),
-    }
-}
-
-/// Artifact-name infix distinguishing generalized-model results from the
-/// legacy (default-model) ones, which keep their original filenames.
-fn model_prefix(model: FaultModel) -> String {
-    if model.is_default() {
-        String::new()
-    } else {
-        format!("{}_", model.slug())
     }
 }
 
@@ -264,11 +252,7 @@ fn exec_triage(
                 &LowerConfig::default(),
             );
             Ok(Outcome::Done {
-                name: format!(
-                    "triage_{}{}.json",
-                    model_prefix(spec.fault_model),
-                    technique_slug(spec.technique)
-                ),
+                name: result_name("triage", spec.fault_model, spec.technique),
                 bytes: triage_json_model(&t, &artifact.program, spec.runs, spec.fault_model),
             })
         }

@@ -120,8 +120,10 @@ pub struct JobSpec {
     /// Technique for certify/triage jobs.
     pub technique: Technique,
     /// Fault model every injection in the job draws from. The default
-    /// (`seu-reg`) keeps the job byte-identical to the legacy service;
-    /// generalized models execute monolithically (no store reuse).
+    /// (`seu-reg`) keeps the job byte-identical to the legacy service.
+    /// Certify jobs reuse stored sections under every certifiable model
+    /// and fail with the planner's refusal under `mem-bit`; triage jobs
+    /// under generalized models execute monolithically (no store reuse).
     pub fault_model: FaultModel,
     /// Execution engine every run in the job uses. The default keeps
     /// results byte-identical to the legacy service (engines are

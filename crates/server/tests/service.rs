@@ -11,7 +11,7 @@
 
 use sor_core::Technique;
 use sor_harness::{
-    certified_json, certified_json_model, certify_program_model, run_certified_campaign_in,
+    certified_json, certified_json_model, certify_program_with, run_certified_campaign_in,
     run_triaged_campaign_in, triage_json, ArtifactStore, CampaignConfig, CertifyConfig, FaultModel,
     FigureEight,
 };
@@ -121,7 +121,11 @@ fn pc_corrupt_certify_job_matches_the_harness_oracle() {
         samples: 4,
         seed: 1,
     };
-    let cfg = CertifyConfig::default();
+    let cfg = CertifyConfig {
+        threads: 2,
+        fault_model: FaultModel::PcCorrupt,
+        ..CertifyConfig::default()
+    };
     let store = ArtifactStore::new();
     let artifact = store.get(
         &workload,
@@ -129,20 +133,41 @@ fn pc_corrupt_certify_job_matches_the_harness_oracle() {
         &cfg.transform,
         &LowerConfig::default(),
     );
-    let coverage = certify_program_model(
+    let coverage = certify_program_with(
         &artifact.program,
         Some(std::sync::Arc::clone(&artifact.decoded)),
         None,
         "adpcmdec",
         "SWIFT-R",
-        FaultModel::PcCorrupt,
-        2,
-        cfg.checkpoint_interval,
-        sor_harness::ExecEngine::default(),
+        &cfg,
     )
     .expect("pc-corrupt plan");
     let oracle = certified_json_model(&coverage, FaultModel::PcCorrupt);
     assert_eq!(client.result_bytes(id).expect("result"), oracle);
+
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A certify job under a model with no certification plan fails with the
+/// planner's refusal as its error, not as a caught panic.
+#[test]
+fn mem_bit_certify_job_fails_with_the_refusal() {
+    let dir = temp_dir("mem-bit");
+    let (handle, client) = spawn(&dir);
+
+    let id = client
+        .submit(r#"{"kind": "certify", "technique": "swift-r", "fault_model": "mem-bit", "samples": 4}"#)
+        .expect("submit");
+    let job = client.wait(id, &["failed"]).expect("wait");
+    assert_eq!(
+        job.get("state").and_then(Json::as_str),
+        Some("failed"),
+        "{job:?}"
+    );
+    let error = job.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(error.contains("not certifiable"), "{error:?}");
 
     handle.shutdown();
     handle.join();

@@ -90,11 +90,12 @@ pub fn cross_validate(
 mod tests {
     use super::*;
     use crate::adaptive::{adaptive_profile, AdaptiveConfig};
-    use sor_ace::{CertPlan, DefUseTrace};
+    use sor_ace::{DefUseTrace, GenCertPlan};
     use sor_core::Technique;
     use sor_ir::{ModuleBuilder, Operand, Width};
+    use sor_models::FaultModel;
     use sor_regalloc::{lower, LowerConfig};
-    use sor_sim::{FaultSpec, MachineConfig, Runner};
+    use sor_sim::{MachineConfig, Runner};
     use sor_stats::OutcomeCounts;
 
     fn program() -> sor_ir::Program {
@@ -119,29 +120,27 @@ mod tests {
     /// cycle — sor-harness depends on sor-triage).
     fn certify(runner: &Runner, program: &sor_ir::Program) -> CertifiedCoverage {
         let trace = DefUseTrace::record(runner);
-        let plan = CertPlan::build(&trace);
+        let plan = GenCertPlan::build(FaultModel::SeuReg, program, &trace).unwrap();
         let golden = runner.golden();
         let golden_recoveries = golden.probes.vote_repairs + golden.probes.trump_recovers;
         let mut replayer = runner.replayer();
         let class_results: Vec<OutcomeCounts> = plan
             .classes
             .iter()
-            .map(|range| {
+            .map(|class| {
                 let mut agg = OutcomeCounts::default();
-                for bit in 0..64 {
-                    let (outcome, res) =
-                        replayer.run_fault(FaultSpec::new(range.hi, range.reg, bit));
+                for fault in plan.faults(class) {
+                    let (outcome, res) = replayer.run_fault_gen(fault);
                     agg.record(outcome, res.probes.vote_repairs + res.probes.trump_recovers);
                 }
                 agg
             })
             .collect();
-        CertifiedCoverage::assemble(
+        plan.assemble(
             "xchk",
             "SWIFT-R",
             program,
             &trace,
-            &plan,
             &class_results,
             golden_recoveries,
         )
